@@ -20,7 +20,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin, deterministic below 2^64, 40 random rounds above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -56,6 +56,26 @@ def sieve_primes(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
     return [i for i in range(2, limit + 1) if flags[i]]
+
+
+def factor(n: int) -> list[int]:
+    """Prime factors of |n| with multiplicity, ascending, by trial division.
+
+    Meant for desk-scale inputs; factor(1) and factor(-1) are [].
+    """
+    if n == 0:
+        raise DomainError("0 has no prime factorization")
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def kronecker(a: int, n: int) -> int:
@@ -152,17 +172,10 @@ class PrimePower:
     def from_value(cls, q: int) -> "PrimePower":
         if q < 2:
             raise DomainError(f"{q} is not a prime power")
-        for ell in sieve_primes(isqrt(q) + 1) if q > 3 else [2, 3]:
-            if q % ell == 0:
-                m = 0
-                while q % ell == 0:
-                    q //= ell
-                    m += 1
-                if q != 1:
-                    raise DomainError("not a prime power")
-                return cls(ell, m)
-        # q itself is prime
-        return cls(q, 1)
+        primes = factor(q)
+        if primes[0] != primes[-1]:
+            raise DomainError("not a prime power")
+        return cls(primes[0], len(primes))
 
     def __int__(self) -> int:
         return self.value

@@ -13,6 +13,7 @@ import sys
 from importlib import resources
 
 from . import oracle, propgroups, scenario, towers
+from .arith import factor
 from .errors import (
     InfeasibleProblemError,
     InternalInconsistencyError,
@@ -26,17 +27,6 @@ EXIT_SCHEMA = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 EXIT_USAGE = 64
-
-_SUBCOMMANDS = (
-    "mean-exponent",
-    "genus-bound",
-    "gs-check",
-    "critere",
-    "tv-bound",
-    "paper-example",
-    "propgroup",
-    "oracle",
-)
 
 _EXAMPLE_NAMES = {"1": "example1", "2": "example2", "3": "example3",
                   "4": "example4", "5": "example5", "intro": "intro"}
@@ -171,25 +161,12 @@ def _cmd_propgroup(args) -> dict:
     }
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return sorted(out)
-
-
 def _cmd_oracle(args) -> dict:
     D = args.disc
     h = oracle.class_number(D)
     structures = {}
     means = {}
-    for p in _prime_factors(h) if h > 1 else []:
+    for p in sorted(set(factor(h))):
         shape = oracle.class_group_structure(D, p)
         structures[str(p)] = shape.to_json()
         means[str(p)] = float(mean_exponent(shape))
@@ -205,13 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit JSON instead of text")
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
                         help="round floats in JSON output")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized checks (reserved)")
 
-    parser = argparse.ArgumentParser(prog="meanexp", description=__doc__)
+    parser = argparse.ArgumentParser(prog="meanexp", description=__doc__, exit_on_error=False)
     parser.add_argument("--json", action="store_true", default=False, help=argparse.SUPPRESS)
     parser.add_argument("--precision", type=int, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
     sp = sub.add_parser("mean-exponent", parents=[common], help="mean exponent of a finite abelian p-group")
@@ -263,13 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    positional = [a for a in argv if not a.startswith("-")]
-    if positional and positional[0] not in _SUBCOMMANDS:
-        print(f"meanexp: unknown subcommand {positional[0]!r}", file=sys.stderr)
-        return EXIT_USAGE
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # "command" is the subparsers' dest: an invalid choice there is an
+        # unknown subcommand; anything else is an ordinary usage error
+        if exc.argument_name != "command":
+            parser.error(str(exc))
+        print(f"meanexp: unknown subcommand: {exc.message}", file=sys.stderr)
+        return EXIT_USAGE
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from math import log
 
-from .arith import PrimePower, is_prime, kronecker
+from .arith import PrimePower, factor, is_prime, kronecker
 from .errors import DegenerateFieldError, DomainError
 
 
@@ -43,23 +43,6 @@ def _factor_map(factors) -> tuple[int, dict[int, int]]:
     return sign, out
 
 
-def _trial_factor(n: int) -> list[int]:
-    """Factor list of n by trial division; only for desk-scale smooth inputs."""
-    out = []
-    if n < 0:
-        out.append(-1)
-        n = -n
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @dataclass(frozen=True)
 class QuadraticSpec:
     """A quadratic field given by a factored radicand (sign included)."""
@@ -71,7 +54,7 @@ class QuadraticSpec:
         if isinstance(radicand, int):
             if radicand in (0, 1):
                 raise DomainError("radicand must not be 0 or 1")
-            return cls(tuple(_trial_factor(radicand)))
+            return cls(tuple(([-1] if radicand < 0 else []) + factor(radicand)))
         return cls(tuple(radicand))
 
     def squarefree_core(self) -> tuple[int, dict[int, int]]:
@@ -211,11 +194,6 @@ def biquadratic_field(d1_radicand, d2_radicand, label: str = "") -> FieldDescrip
         subfield_discs=(D1, D2, D3),
         label=label,
     )
-
-
-def genus(fld: FieldDescriptor) -> float:
-    """Half the log of the absolute discriminant."""
-    return fld.genus()
 
 
 def disc_with_tame_conductor(fld: FieldDescriptor, norms, p: int) -> dict[int, int]:

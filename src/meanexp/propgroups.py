@@ -10,23 +10,31 @@ The filtration ranks b_i are tied to the series by the product identity
 
     U(T) = prod_{i>=1} ((T^{p*i} - 1)/(T^i - 1))^{b_i},
 
-and are extracted exactly by taking logarithmic derivatives: with
-w_m the Newton power sums of U (n*c_n = sum_{k<=n} w_k c_{n-k}) and
-V_m = w_m + p * V_{m/p} (second term only when p | m), Moebius inversion of
-V_m = sum_{i | m} i*b_i recovers every b_i in integer arithmetic.
+and are extracted exactly, in integer arithmetic, along one route:
 
-For quadratic relations 1 - d*T + r*T^2 = (1 - alpha*T)(1 - beta*T) the
-power sums are never computed through the irrational roots: the integer
-recurrence s_m = d*s_{m-1} - r*s_{m-2}, s_0 = 2, s_1 = d, is exact for any
-sign of d^2 - 4r.
+1. invert the series, skipping the zero coefficients of the inverse
+   (e_m = -c_m - sum_{j in supp} e_j c_{m-j}), and read off the Newton
+   power sums w_m of U from the same support
+   (w_m = -m*e_m - sum_{j in supp} e_j w_{m-j}).  For a series from
+   gs_series the inverse is the relation polynomial itself, so this costs
+   O(N*k) for k distinct degrees; a dense inverse costs O(N^2);
+2. fold in the p-th powers: V_m = w_m + p * V_{m/p} (second term only when
+   p | m), so that V_m = sum_{i | m} i*b_i;
+3. invert that divisor sum with a Moebius sieve, accumulating
+   mu(e) * V_k into index e*k by divisor strides.
+
+The float-log witness regime (quadratic relations only) reads its divisors
+and Moebius values from the same sieve.  power_sums (the integer recurrence
+s_m = d*s_{m-1} - r*s_{m-2}, exact for any sign of d^2 - 4r) and
+reconstruct_series share no code with this route and serve as checks on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import is_prime, sieve_primes
 from .errors import DomainError, InapplicableError, SeriesError
 
 #: Largest order kept in exact big-integer arithmetic; beyond this the
@@ -119,41 +127,30 @@ def power_sums(d: int, r: int, up_to: int) -> list[int]:
 
 
 def _newton_power_sums(coeffs: tuple[int, ...]) -> list[int]:
-    """w_m with n*c_n = sum_{k=1}^{n} w_k c_{n-k}; integers when c_0 = 1."""
+    """w_m with n*c_n = sum_{k=1}^{n} w_k c_{n-k}; integers when c_0 = 1.
+
+    Runs the inverse series e = 1/c alongside, over its nonzero terms only.
+    """
     n_max = len(coeffs) - 1
+    support: list[tuple[int, int]] = []  # (j, e_j) with e_j != 0, j >= 1
     w = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = n * coeffs[n]
-        for k in range(1, n):
-            acc -= w[k] * coeffs[n - k]
-        w[n] = acc
+    for m in range(1, n_max + 1):
+        e_m = -coeffs[m] - sum(e_j * coeffs[m - j] for j, e_j in support)
+        w[m] = -m * e_m - sum(e_j * w[m - j] for j, e_j in support)
+        if e_m:
+            support.append((m, e_m))
     return w
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def _moebius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1 if d == 2 else 2
-    if n > 1:
-        mu = -mu
+def _moebius_table(n: int) -> list[int]:
+    """mu(0..n) by sieving: flip the sign on multiples of each prime q,
+    zero the multiples of q^2 (mu[0] is unused)."""
+    mu = [1] * (n + 1)
+    for q in sieve_primes(n) if n >= 2 else ():
+        for m in range(q, n + 1, q):
+            mu[m] = -mu[m]
+        for m in range(q * q, n + 1, q * q):
+            mu[m] = 0
     return mu
 
 
@@ -170,24 +167,27 @@ def zassenhaus_ranks(series: SeriesExpansion, p: int, order: int) -> ZassenhausR
         raise DomainError(
             f"series carries only {series.order()} coefficients, need {order}"
         )
-    w = _newton_power_sums(series.coeffs[: order + 1])
-    V = [0] * (order + 1)
-    for m in range(1, order + 1):
-        V[m] = w[m] + (p * V[m // p] if m % p == 0 else 0)
-    b = []
+    # one list, rewritten in place (the ranks are big integers, and at the
+    # witness scan's order a second list of them is megabytes): w_m, then
+    # V_m, then i*b_i, then b_i
+    v = _newton_power_sums(series.coeffs[: order + 1])
+    for m in range(p, order + 1, p):
+        v[m] += p * v[m // p]
+    # strides over the multiples e*k of k; k descends, so v[k] is still V_k
+    # when it is read, and every write lands on an index above k
+    mu = _moebius_table(order)
+    for k in range(order // 2, 0, -1):
+        v_k = v[k]
+        for e in range(2, order // k + 1):
+            if mu[e]:
+                v[e * k] += mu[e] * v_k
     for i in range(1, order + 1):
-        acc = 0
-        for e in _divisors(i):
-            mu = _moebius(e)
-            if mu:
-                acc += mu * V[i // e]
-        if acc % i != 0:
-            raise SeriesError(f"rank b_{i} is not integral ({acc}/{i})")
-        bi = acc // i
-        if bi < 0:
-            raise SeriesError(f"rank b_{i} = {bi} < 0: series is not realizable at p = {p}")
-        b.append(bi)
-    return ZassenhausRanks(p=p, b=tuple(b))
+        if v[i] % i != 0:
+            raise SeriesError(f"rank b_{i} is not integral ({v[i]}/{i})")
+        v[i] //= i
+        if v[i] < 0:
+            raise SeriesError(f"rank b_{i} = {v[i]} < 0: series is not realizable at p = {p}")
+    return ZassenhausRanks(p=p, b=tuple(v[1:]))
 
 
 def reconstruct_series(ranks: ZassenhausRanks, order: int) -> SeriesExpansion:
@@ -237,7 +237,7 @@ def power_sum_check(params: GSGroupParams, m: int, ranks: ZassenhausRanks) -> bo
     if m > len(ranks.b):
         raise DomainError(f"ranks computed only to order {len(ranks.b)}")
     s = power_sums(params.d, params.r, m)
-    rhs = sum(i * ranks.rank(i) for i in _divisors(m))
+    rhs = sum(i * ranks.rank(i) for i in range(1, m + 1) if m % i == 0)
     return s[m] == rhs
 
 
@@ -309,6 +309,8 @@ def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
     corrections are exponentially small and folded in via log1p where they
     are representable, giving relative error well under 1e-6 for i >= 32.
     """
+    if not params.quadratic:
+        raise InapplicableError("float regime needs quadratic relations")
     d, r, p = params.d, params.r, params.p
     disc = d * d - 4 * r
     if disc < 0:
@@ -341,22 +343,28 @@ def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
                     out += math.log1p(math.exp(delta))
         return out
 
+    # the Moebius corrections V_{i/e} shrink like alpha^(-i/2); the divisor
+    # scan stops at the last index top where they can still reach float
+    # underflow range, and the sieve runs only that far.  The strides visit
+    # e in ascending order, so each list holds i's divisors ascending.
+    top = 0
+    while top + 1 < hi and (top + 1 - (top + 1) // 2) * log_alpha < 750:
+        top += 1
+    mu = _moebius_table(top)
+    divisors: list[list[int]] = [[] for _ in range(lo, top + 1)]
+    for e in range(2, top + 1):
+        if mu[e]:
+            for i in range(-(-lo // e) * e, top + 1, e):
+                divisors[i - lo].append(e)
+
     terms = []
     for i in range(lo, hi):
         lv = log_V(i)
         corr = 0.0
-        # the Moebius corrections V_{i/e} shrink like alpha^(-i/2); skip the
-        # divisor scan entirely once they cannot reach float underflow range
-        if (i - i // 2) * log_alpha < 750:
-            for e in _divisors(i):
-                if e == 1:
-                    continue
-                mu = _moebius(e)
-                if mu == 0:
-                    continue
-                delta = log_V(i // e) - lv
-                if delta > -700:
-                    corr += mu * math.exp(delta)
+        for e in divisors[i - lo] if i <= top else ():
+            delta = log_V(i // e) - lv
+            if delta > -700:
+                corr += mu[e] * math.exp(delta)
         terms.append(lv + math.log1p(max(corr, -0.999999)) - math.log(i))
     peak = max(terms)
     return peak + math.log(sum(math.exp(t - peak) for t in terms))
@@ -371,29 +379,16 @@ def theo2_witnesses(
     non-analytic groups of this type; the scan records which small n witness
     it.  Rows with 2^(n+1) - 1 <= exact_limit are exact; beyond that the
     quantities switch to the log-domain float regime and the row is marked.
+    The float regime models quadratic relations only and raises
+    InapplicableError for other degrees.
     """
     if not 0 < epsilon < 1:
         raise DomainError("epsilon must be in (0, 1)")
     rows: list[WitnessRow] = []
     exact_top = min(2 ** (n_max + 1) - 1, exact_limit)
     ranks = None
-    if exact_top >= 1 and params.quadratic:
-        s = power_sums(params.d, params.r, exact_top)
-        V = [0] * (exact_top + 1)
-        for m in range(1, exact_top + 1):
-            V[m] = s[m] + (params.p * V[m // params.p] if m % params.p == 0 else 0)
-        b = []
-        for i in range(1, exact_top + 1):
-            acc = sum(
-                _moebius(e) * V[i // e] for e in _divisors(i) if _moebius(e)
-            )
-            if acc % i != 0 or acc < 0:
-                raise SeriesError(f"rank b_{i} not realizable")
-            b.append(acc // i)
-        ranks = ZassenhausRanks(p=params.p, b=tuple(b))
-    elif exact_top >= 1:
-        series = gs_series(params, exact_top)
-        ranks = zassenhaus_ranks(series, params.p, exact_top)
+    if exact_top >= 1:
+        ranks = zassenhaus_ranks(gs_series(params, exact_top), params.p, exact_top)
 
     for n in range(1, n_max + 1):
         if 2 ** (n + 1) - 1 <= exact_limit and ranks is not None:

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from meanexp.arith import PrimePower, is_prime, kronecker, sieve_primes, tame_local_factor, vp
+from meanexp.arith import PrimePower, factor, is_prime, kronecker, sieve_primes, tame_local_factor, vp
 from meanexp.errors import DomainError
 
 
@@ -107,10 +109,27 @@ def test_prime_power():
     assert pp.value == 9
     assert PrimePower.from_value(9) == pp
     assert PrimePower.from_value(7) == PrimePower(7, 1)
+    assert PrimePower.from_value(2) == PrimePower(2, 1)
+    assert PrimePower.from_value(1024) == PrimePower(2, 10)
+    assert PrimePower.from_value(65521**2) == PrimePower(65521, 2)
     with pytest.raises(DomainError):
         PrimePower(4, 1)
+    for q in (1, 12, 15, 2 * 65521):
+        with pytest.raises(DomainError):
+            PrimePower.from_value(q)
+
+
+def test_factor():
+    assert factor(1) == factor(-1) == []
+    assert factor(360) == [2, 2, 2, 3, 3, 5]
+    assert factor(-3 * 7 * 7) == [3, 7, 7]
+    assert factor(65521) == [65521]
     with pytest.raises(DomainError):
-        PrimePower.from_value(12)
+        factor(0)
+    for n in range(2, 500):
+        primes = factor(n)
+        assert primes == sorted(primes) and all(is_prime(q) for q in primes)
+        assert math.prod(primes) == n
 
 
 def test_is_prime_smallish():

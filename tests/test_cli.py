@@ -13,6 +13,16 @@ def test_unknown_subcommand(capsys):
     code, _out, err = run_cli(["frobnicate"], capsys)
     assert code == cli.EXIT_USAGE == 64
     assert "unknown subcommand" in err
+    code, _out, err = run_cli(["--precision", "4", "frobnicate"], capsys)
+    assert code == 64
+    assert "unknown subcommand" in err
+
+
+def test_global_flags_before_subcommand(capsys):
+    code_first, first, _ = run_cli(["--precision", "4", "paper-example", "2", "--json"], capsys)
+    code_last, last, _ = run_cli(["paper-example", "2", "--json", "--precision", "4"], capsys)
+    assert code_first == code_last == 0
+    assert first == last
 
 
 def test_no_subcommand_prints_help(capsys):

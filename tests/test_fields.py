@@ -12,7 +12,6 @@ from meanexp.fields import (
     enumerate_norms,
     field_from_spec,
     fundamental_discriminant,
-    genus,
     log_disc_with_tame_conductor,
     norms_above,
     quadratic_field,
@@ -76,11 +75,11 @@ def test_conductor_discriminant_product():
 
 def test_genus():
     f = biquadratic_field([5], [-1, 5])
-    assert genus(f) == pytest.approx(math.log(20), abs=1e-12)
+    assert f.genus() == pytest.approx(math.log(20), abs=1e-12)
     ex1 = biquadratic_field(EX1_D1, [-1, 3])
-    assert genus(ex1) == pytest.approx(math.log(892371480), abs=1e-9)
+    assert ex1.genus() == pytest.approx(math.log(892371480), abs=1e-9)
     unit = FieldDescriptor(degree=1, r1=1, r2=0, abs_disc_factored={})
-    assert genus(unit) == 0.0
+    assert unit.genus() == 0.0
 
 
 def test_disc_with_tame_conductor():
@@ -98,7 +97,7 @@ def test_disc_with_tame_conductor():
     with pytest.raises(DomainError):
         disc_with_tame_conductor(f, [4], 2)
     # genus identity with empty conductor set
-    assert genus(f) == pytest.approx(0.5 * log_disc_with_tame_conductor(f, [], 3), abs=1e-12)
+    assert f.genus() == pytest.approx(0.5 * log_disc_with_tame_conductor(f, [], 3), abs=1e-12)
 
 
 def test_splitting_type():

@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 
 from meanexp.errors import DomainError, InapplicableError, SeriesError
 from meanexp.propgroups import (
     GSGroupParams,
+    ZassenhausRanks,
+    _moebius_table,
     b_power_of_two,
     gs_series,
     index_log,
@@ -62,6 +65,26 @@ def test_round_trip_exact():
             ranks = zassenhaus_ranks(series, p, 64)
             back = reconstruct_series(ranks, 64)
             assert back.coeffs == series.coeffs[:65], (d, r, p)
+
+
+def test_round_trip_from_random_ranks():
+    # these series do not come from gs_series, so their inverse is dense and
+    # the extraction runs on its general path
+    rng = random.Random(20151)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7))
+        order = rng.randint(1, 40)
+        b = tuple(rng.randint(0, 4) for _ in range(order))
+        series = reconstruct_series(ZassenhausRanks(p=p, b=b), order)
+        assert zassenhaus_ranks(series, p, order).b == b, (p, b)
+
+
+def test_moebius_table():
+    mu = _moebius_table(300)
+    assert mu[1:11] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    for n in range(1, 301):
+        assert sum(mu[e] for e in range(1, n + 1) if n % e == 0) == (n == 1), n
+    assert _moebius_table(1) == [1, 1]
 
 
 def test_all_ranks_nonnegative_for_gs_type():
@@ -138,7 +161,7 @@ def test_witnesses_exact():
     assert len(rows) == 6
     assert all(row.regime == "exact" for row in rows)
     assert any(row.satisfied for row in rows)
-    # the quadratic fast path agrees with the general series extraction
+    # the scan reads the same ranks as a direct extraction
     ranks = zassenhaus_ranks(gs_series(params, 16), 3, 16)
     assert rows[0].index_log == index_log(ranks, 1)
     assert rows[1].window_rank == window_rank(ranks, 2)
@@ -174,6 +197,20 @@ def test_witnesses_float_regime_matches_exact():
         assert math.exp(f_row.index_log) == pytest.approx(e_row.index_log, rel=1e-6)
         assert math.exp(f_row.window_rank) == pytest.approx(e_row.window_rank, rel=1e-6)
         assert f_row.satisfied == e_row.satisfied
+
+
+def test_witnesses_float_regime_rejects_non_quadratic():
+    # the float-log regime models X^2 - d*X + r only; other degrees must not
+    # silently reuse it
+    params = GSGroupParams(d=4, r=3, p=3, relation_degrees=(2, 3, 5))
+    with pytest.raises(InapplicableError):
+        theo2_witnesses(params, 0.5, 4, exact_limit=30)
+    # rows up to n = 3 fit under the limit and stay exact
+    rows = theo2_witnesses(params, 0.5, 3, exact_limit=30)
+    ranks = zassenhaus_ranks(gs_series(params, 15), 3, 15)
+    assert [row.regime for row in rows] == ["exact"] * 3
+    assert rows[2].index_log == index_log(ranks, 3)
+    assert rows[2].window_rank == window_rank(ranks, 3)
 
 
 def test_witnesses_survive_float_overflow_boundary():
