@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import DomainError
@@ -28,7 +29,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < 1 << 64:
+    if n < 3_215_031_751:  # the first four witnesses suffice here (Jaeschke 1993)
+        witnesses = _MR_WITNESSES[:4]
+    elif n < 1 << 64:
         witnesses = _MR_WITNESSES
     else:
         rng = random.Random(n)
@@ -47,15 +50,20 @@ def is_prime(n: int) -> bool:
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes in [2, limit], ascending (segmented sieve not needed at this scale)."""
+    """All primes in [2, limit], ascending."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return primes_between(1, limit)
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes in (lo, hi], ascending: one segment of a segmented sieve,
+    crossed off by the primes up to sqrt(hi)."""
+    flags = bytearray([1]) * (hi - lo)  # flags[i] stands for lo + 1 + i; lo >= 1
+    for p in primes_between(1, isqrt(hi)) if hi >= 4 else ():
+        first = max(p * p, -(-(lo + 1) // p) * p) - lo - 1
+        flags[first::p] = bytes(len(range(first, len(flags), p)))
+    return list(compress(range(lo + 1, hi + 1), flags))
 
 
 def factor(n: int) -> list[int]:

@@ -234,7 +234,9 @@ def norms_above(fld: FieldDescriptor, ell: int) -> list[tuple[int, int]]:
     Biquadratic case, from the three quadratic subfields: an odd prime
     ramifies in none or exactly two of them.  Unramified with all three
     Kronecker characters +1 means four places of norm ell; otherwise two of
-    norm ell^2.  Ramified in two subfields leaves the splitting in the third
+    norm ell^2.  Away from the ramified primes chi_D3 = chi_D1 * chi_D2, so
+    the first two characters decide, and the second is needed only when the
+    first is +1.  Ramified in two subfields leaves the splitting in the third
     to decide between two places of norm ell and one of norm ell^2.  A prime
     ramified in all three subfields (only ell = 2) is totally ramified: one
     place of norm ell.
@@ -252,8 +254,7 @@ def norms_above(fld: FieldDescriptor, ell: int) -> list[tuple[int, int]]:
     ram = [D % ell == 0 for D in discs]
     n_ram = sum(ram)
     if n_ram == 0:
-        chis = [kronecker(D, ell) for D in discs]
-        if all(c == 1 for c in chis):
+        if kronecker(discs[0], ell) == 1 and kronecker(discs[1], ell) == 1:
             return [(ell, 4)]
         return [(ell * ell, 2)]
     if n_ram == 2:

@@ -10,19 +10,18 @@ serializing them with sorted keys is byte-stable across runs.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any
 
-from .arith import PrimePower, is_prime, sieve_primes, tame_local_sum
-from .errors import (
-    DomainError,
-    NeedsLargerEnumerationError,
-    SchemaError,
-)
+from .arith import PrimePower, is_prime, primes_between, sieve_primes, tame_local_sum
+from .errors import DomainError, SchemaError
 from .fields import FieldDescriptor, field_from_spec, quadratic_field
-from . import tv
+from . import fields, tv
 from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verdict
 
 SCHEMA_VERSION = 1
@@ -49,6 +48,7 @@ class CandidateInfo:
 
     prime: int
     norm: int
+    m: int  # norm = prime**m
     weight_num: float  # in genus units
     kind: str  # split_full | ram_split | inert_sq | total_ram | override | shifted
     pinned: bool = False
@@ -192,8 +192,12 @@ def parse_scenario(data: dict) -> Scenario:
             "need prime, norm, weight_num",
             loc,
         )
-        _expect(is_prime(entry["prime"]), "prime required", loc)
-        cap_overrides[entry["prime"]] = (int(entry["norm"]), float(entry["weight_num"]))
+        ell, norm, weight = entry["prime"], entry["norm"], entry["weight_num"]
+        _expect(isinstance(ell, int) and is_prime(ell), "prime required", loc)
+        is_power = isinstance(norm, int) and norm >= ell and ell ** round(math.log(norm, ell)) == norm
+        _expect(is_power, "norm must be a power of the prime", loc)
+        _expect(isinstance(weight, (int, float)) and 0 <= weight < math.inf, "weight_num must be >= 0", loc)
+        cap_overrides[ell] = (norm, float(weight))
 
     excluded = set(_as_int_list(tvsec.get("excluded", []), "tv.excluded"))
 
@@ -266,11 +270,10 @@ def _derived_sigma_fixed(sc: Scenario) -> list[tuple[int, int, str]]:
 
 def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float) -> CandidateInfo | None:
     """Cheapest admissible norm for one prime, honoring pins and exclusions."""
-    from .fields import norms_above
-
     if ell in sc.capacity_overrides:
         norm, weight = sc.capacity_overrides[ell]
-        return CandidateInfo(prime=ell, norm=norm, weight_num=weight, kind="override", pinned=True)
+        m = PrimePower.from_value(norm).m
+        return CandidateInfo(prime=ell, norm=norm, m=m, weight_num=weight, kind="override", pinned=True)
 
     discs = sc.field.subfield_discs
     pinned = ell in sc.splitting_overrides
@@ -285,10 +288,10 @@ def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float) -> CandidateInf
         else:
             places = [(ell, 1)]
     else:
-        places = norms_above(sc.field, ell)
+        places = fields.norms_above(sc.field, ell)
 
     norm, count = places[0]
-    m = round(math.log(norm, ell))
+    m = 1 if norm == ell else 2
     eps = sc.eps_caps.get(ell, 0.0)
     shifted = False
     if norm in sc.excluded:
@@ -314,21 +317,43 @@ def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float) -> CandidateInf
             kind = "inert_sq"
     else:
         kind = "shifted" if shifted else "quadratic"
-    return CandidateInfo(prime=ell, norm=norm, weight_num=weight, kind=kind, pinned=pinned)
+    return CandidateInfo(prime=ell, norm=norm, m=m, weight_num=weight, kind=kind, pinned=pinned)
+
+
+def _primes_from(first: int, limit: int) -> Iterator[int]:
+    """Primes up to limit, sieved in doubling segments (1, first], (first, 2 first], ..."""
+    lo, hi = 1, first
+    while lo < limit:
+        yield from sieve_primes(hi) if lo == 1 else primes_between(lo, hi)
+        lo, hi = hi, min(2 * hi, limit)
+
+
+def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo]:
+    """Every open prime's candidate in strictly ascending norm, up to
+    max(norm_bound, _MAX_NORM_BOUND).
+
+    A candidate whose norm is a higher power of its prime waits in a heap
+    until the primes pass its norm.  With a zero cap only capacity overrides
+    can carry weight, so only their primes are visited."""
+    closed = set(sc.t_dec) | set(sc.t_inert)
+    cap_num = sc.x0_num + 2 * sc.x1_num
+    limit = max(sc.norm_bound, _MAX_NORM_BOUND)
+    overrides = sorted(q for q in sc.capacity_overrides if q <= limit)
+    primes = _primes_from(sc.norm_bound, limit) if cap_num > 0 else overrides
+    waiting: list[tuple[int, CandidateInfo]] = []
+    for ell in primes:
+        cand = None if ell in closed else _candidate_for_prime(sc, ell, cap_num)
+        if cand is not None and cand.norm <= limit:
+            heapq.heappush(waiting, (cand.norm, cand))
+        while waiting and waiting[0][0] <= ell:
+            yield heapq.heappop(waiting)[1]
+    while waiting:
+        yield heapq.heappop(waiting)[1]
 
 
 def build_candidates(sc: Scenario, bound: int) -> list[CandidateInfo]:
-    closed = set(sc.t_dec) | set(sc.t_inert)
-    cap_num = sc.x0_num + 2 * sc.x1_num
-    out = []
-    for ell in sieve_primes(bound):
-        if ell in closed:
-            continue
-        cand = _candidate_for_prime(sc, ell, cap_num)
-        if cand is not None and cand.norm <= bound:
-            out.append(cand)
-    out.sort(key=lambda c: c.norm)
-    return out
+    """The candidates with norm <= bound: a prefix of `candidate_stream`."""
+    return list(takewhile(lambda c: c.norm <= bound, candidate_stream(sc)))
 
 
 def run_scenario_data(data: dict) -> dict:
@@ -414,43 +439,37 @@ def run_scenario_obj(sc: Scenario) -> dict:
         x0=sc.x0_num / g,
         x1=sc.x1_num / g,
         fixed=tuple((PrimePower.from_value(q), num / g) for q, num in sigma_pairs),
-        excluded=frozenset(sc.excluded),
     )
 
-    # --- candidates and the greedy fill, growing the enumeration as needed
-    bound = sc.norm_bound
-    while True:
-        infos = build_candidates(sc, bound)
-        candidates = [
-            tv.Candidate(norm=PrimePower.from_value(ci.norm), weight=ci.weight_num / g)
-            for ci in infos
-        ]
-        b_ded = None
-        if sc.b_deduction_nums is not None:
-            b_ded = (sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
-        try:
-            solution = tv.optimize(problem, candidates, b_deduction=b_ded)
-            break
-        except NeedsLargerEnumerationError:
-            if bound >= _MAX_NORM_BOUND:
-                raise
-            bound = min(bound * 2, _MAX_NORM_BOUND)
+    # --- the greedy fill, reading the candidate stream up to ell_star_0
+    info_by_norm: dict[int, CandidateInfo] = {}
 
-    info_by_norm = {ci.norm: ci for ci in infos}
+    def candidates() -> Iterator[tv.Candidate]:
+        for ci in candidate_stream(sc):
+            info_by_norm[ci.norm] = ci
+            yield tv.Candidate(norm=PrimePower(ci.prime, ci.m), weight=ci.weight_num / g)
+
+    b_ded = None if sc.b_deduction_nums is None else (sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
+    solution = tv.optimize(problem, candidates(), b_deduction=b_ded)
+
     prefix_infos = [info_by_norm[q.value] for q, _w in solution.prefix]
     lstar0 = solution.ell_star_0.value if solution.ell_star_0 is not None else None
+    # the doubling tier of norm_bound that holds the stop norm
+    bound = sc.norm_bound
+    while lstar0 is not None and bound < lstar0:
+        bound = min(bound * 2, _MAX_NORM_BOUND)
     split_below = sum(1 for ci in prefix_infos if ci.kind == "split_full")
     # budget left once everything except the totally split candidates is paid
     # for -- the published computations quote this intermediate
     nonsplit_cost = sum(
-        (ci.weight_num / g) * tv.a_coeff(PrimePower.from_value(ci.norm))
+        (ci.weight_num / g) * tv.a_coeff(ci.norm)
         for ci in prefix_infos
         if ci.kind != "split_full"
     )
     budget_after_nonsplit = (solution.budget - nonsplit_cost) * g
 
     # honest-assembly B alongside the (possibly pinned) headline value
-    B_derived = 1.0 + solution.sum_b_bound - problem.x0 * tv.B0_REAL - problem.x1 * tv.B1_COMPLEX
+    B_derived = tv.assemble_B(solution.sum_b_bound, problem.x0, problem.x1)
 
     # --- assembled mean-exponent bounds
     a_sigma = tame_local_sum(sc.ray_sigma_norms, sc.p, split_completely=sc.ray_sigma_split)

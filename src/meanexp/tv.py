@@ -23,6 +23,7 @@ genus); scenario code converts from genus-scaled integers at the boundary.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import exp, log, pi, sqrt
 
@@ -101,13 +102,12 @@ class TVProblem:
     """Fixed archimedean densities plus the pinned finite part.
 
     `fixed` carries the norms whose densities are known exactly (the set
-    Sigma); `excluded` lists prime powers forced to density zero.
+    Sigma).
     """
 
     x0: float
     x1: float
     fixed: tuple[tuple[PrimePower, float], ...] = ()
-    excluded: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.x0 < 0 or self.x1 < 0:
@@ -166,9 +166,14 @@ class TVSolution:
         }
 
 
+def assemble_B(sum_b: float, x0: float, x1: float) -> float:
+    """B = 1 + sum_b - x0 * log 2 - x1 * log(2 pi)."""
+    return 1.0 + sum_b - x0 * B0_REAL - x1 * B1_COMPLEX
+
+
 def optimize(
     problem: TVProblem,
-    candidates: list[Candidate],
+    candidates: Iterable[Candidate],
     b_deduction: tuple[float, float] | None = None,
 ) -> TVSolution:
     """Greedy fractional fill of the budget over ascending candidate norms.
@@ -177,29 +182,31 @@ def optimize(
     order, each carrying its admissible density weight.  The first candidate
     that does not fit whole becomes ell_star_0 and is filled fractionally by
     alpha in [0, 1); the payoff bound and the resulting B upper bound follow.
+    Nothing after ell_star_0 is read, so `candidates` may be an unbounded
+    stream.  Running out of candidates with budget left is an error unless no
+    weight is positive, which makes the solution degenerate.
 
     `b_deduction` optionally overrides the archimedean payoff deduction
     (x0', x1') used in the B assembly; by default the problem's own
     densities are used.  This exists so a scenario can pin a published
     assembly alongside the derived one.
     """
-    values = [c.value for c in candidates]
-    if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
-        raise DomainError("candidates must be strictly ascending by norm value")
-    if any(c.weight < 0 for c in candidates):
-        raise DomainError("candidate weights must be nonnegative")
-    seen_primes: set[int] = set()
-    for c in candidates:
-        if c.norm.ell in seen_primes:
-            raise DomainError(f"two candidates for prime {c.norm.ell}")
-        seen_primes.add(c.norm.ell)
     left = budget(problem)
-
     prefix: list[tuple[PrimePower, float]] = []
     ell_star_0: PrimePower | None = None
     alpha = 0.0
     consumed = 0.0
+    last: Candidate | None = None
+    seen_primes: set[int] = set()
     for cand in candidates:
+        if last is not None and cand.value <= last.value:
+            raise DomainError("candidates must be strictly ascending by norm value")
+        if cand.weight < 0:
+            raise DomainError("candidate weights must be nonnegative")
+        if cand.norm.ell in seen_primes:
+            raise DomainError(f"two candidates for prime {cand.norm.ell}")
+        seen_primes.add(cand.norm.ell)
+        last = cand
         cost = cand.weight * a_coeff(cand.norm)
         if cost <= left - consumed:
             consumed += cost
@@ -209,42 +216,27 @@ def optimize(
             ell_star_0 = cand.norm
             alpha = (left - consumed) / cost
             break
-    if ell_star_0 is None:
-        remaining = left - consumed
-        if remaining > 1e-12 and any(c.weight > 0 for c in candidates):
-            raise NeedsLargerEnumerationError(
-                f"candidates exhausted with budget {remaining:.6g} unconsumed",
-                last_norm=candidates[-1].value if candidates else None,
-            )
-        if not any(c.weight > 0 for c in candidates):
-            # Degenerate problem: no admissible finite mass at all.
-            ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)
-            sum_b = problem.fixed_payoff()
-            return TVSolution(
-                ell_star_0=None,
-                alpha=0.0,
-                sum_b_bound=sum_b,
-                B_upper=1.0 + sum_b - ded[0] * B0_REAL - ded[1] * B1_COMPLEX,
-                budget=left,
-                prefix=(),
-                degenerate=True,
-                b_deduction=ded,
-            )
+    # a positive weight lands either in the prefix or at ell_star_0
+    degenerate = not prefix and ell_star_0 is None
+    if ell_star_0 is None and not degenerate and left - consumed > 1e-12:
+        raise NeedsLargerEnumerationError(
+            f"candidates exhausted with budget {left - consumed:.6g} unconsumed",
+            last_norm=last.value,
+        )
 
     sum_b = problem.fixed_payoff()
     sum_b += sum(w * b_coeff(q) for q, w in prefix)
     if ell_star_0 is not None:
-        w0 = next(c.weight for c in candidates if c.norm == ell_star_0)
-        sum_b += alpha * w0 * b_coeff(ell_star_0)
+        sum_b += alpha * last.weight * b_coeff(ell_star_0)
     ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)
-    B_upper = 1.0 + sum_b - ded[0] * B0_REAL - ded[1] * B1_COMPLEX
     return TVSolution(
         ell_star_0=ell_star_0,
         alpha=alpha,
         sum_b_bound=sum_b,
-        B_upper=B_upper,
+        B_upper=assemble_B(sum_b, *ded),
         budget=left,
         prefix=tuple(prefix),
+        degenerate=degenerate,
         b_deduction=ded,
     )
 

@@ -3,7 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from meanexp.arith import PrimePower, factor, is_prime, kronecker, sieve_primes, tame_local_factor, vp
+from meanexp.arith import (
+    PrimePower,
+    factor,
+    is_prime,
+    kronecker,
+    primes_between,
+    sieve_primes,
+    tame_local_factor,
+    vp,
+)
 from meanexp.errors import DomainError
 
 
@@ -138,3 +147,22 @@ def test_is_prime_smallish():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+def test_primes_between_segments():
+    primes = sieve_primes(5000)
+    for lo, hi in ((1, 2), (2, 3), (3, 4), (1, 100), (100, 1000), (128, 256), (1000, 5000), (4000, 4000)):
+        assert primes_between(lo, hi) == [q for q in primes if lo < q <= hi]
+    # doubling segments tile the range with nothing sieved twice
+    segments = [primes_between(lo, min(2 * lo, 5000)) for lo in (100, 200, 400, 800, 1600, 3200)]
+    assert sieve_primes(100) + sum(segments, []) == primes
+
+
+def test_is_prime_matches_sieve_to_a_million():
+    primes = bytearray(10**6 + 1)
+    for q in sieve_primes(10**6):
+        primes[q] = 1
+    assert all(is_prime(n) == primes[n] for n in range(10**6 + 1))
+    # strong pseudoprimes to the bases 2, 3, 5 and to 2, 3, 5, 7
+    assert not is_prime(25_326_001)
+    assert not is_prime(3_215_031_751)

@@ -107,6 +107,21 @@ def test_tv_bound_schema_error(tmp_path, capsys):
     assert "p" in err
 
 
+def test_tv_bound_bad_capacity_override_exits_schema(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "label": "bad-override",
+        "p": 2,
+        "field": {"type": "quadratic", "radicand_factors": [-1, 3]},
+        "tv": {"x0_num": 0, "x1_num": 0, "capacity_overrides": [{"prime": 7, "norm": "x", "weight_num": 1}]},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(["tv-bound", "--scenario", str(path)], capsys)
+    assert code == 2
+    assert "tv.capacity_overrides[0]" in err and "Traceback" not in err
+
+
 def test_tv_bound_infeasible_exit(tmp_path, capsys):
     doc = {
         "version": 1,

@@ -172,3 +172,20 @@ def test_field_from_spec():
     assert g.abs_disc == 400
     with pytest.raises(DomainError):
         field_from_spec({"type": "cubic"})
+
+
+def test_norms_above_two_characters_match_three():
+    import json
+    from importlib import resources
+
+    from meanexp.arith import kronecker, sieve_primes
+
+    primes = sieve_primes(10**5)
+    for name in ("example1", "example2", "example3", "example4", "example5", "intro"):
+        spec = json.loads(resources.files("meanexp").joinpath("scenarios", f"{name}.json").read_text())["field"]
+        fld = field_from_spec(spec)
+        for ell in primes:
+            if any(D % ell == 0 for D in fld.subfield_discs):
+                continue
+            split = all(kronecker(D, ell) == 1 for D in fld.subfield_discs)
+            assert norms_above(fld, ell) == ([(ell, 4)] if split else [(ell * ell, 2)]), (name, ell)

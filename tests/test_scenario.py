@@ -1,11 +1,20 @@
 import copy
+import hashlib
 import json
+import time
+from importlib import resources
 
 import pytest
 
-from meanexp.errors import InfeasibleProblemError, SchemaError
+from meanexp import tv
+from meanexp.arith import PrimePower, sieve_primes
+from meanexp.errors import InfeasibleProblemError, NeedsLargerEnumerationError, SchemaError
 from meanexp.scenario import (
+    _MAX_NORM_BOUND,
+    _candidate_for_prime,
+    _derived_sigma_fixed,
     build_candidates,
+    candidate_stream,
     dump_report,
     parse_scenario,
     run_scenario_data,
@@ -225,3 +234,144 @@ def test_dump_precision():
     data = json.loads(text)
     assert data["x"] == 1.235
     assert data["nested"]["y"][0] == 0.111
+
+
+# SHA-256 of dump_report(run_packaged_example(name)), recorded before the
+# greedy fill read a candidate stream; the reports must stay byte-identical.
+PACKAGED_DIGESTS = {
+    "example1": "7298937942a292f0a6838618bbdc7ac404aa4baa7e130283a3f40d91a2a8dfbf",
+    "example2": "ef3c848a07cac50e432ae42f3816bb6b8874a39baac585e2cd7f32f2d9d3e9ba",
+    "example3": "e616908963a35b76efbac77a4d5c85417cf15c71e38da024503e39b19b8408eb",
+    "example4": "16194e6dd295b1789edddd798a15bd7ce3811c301778e8fbfe0218a7cc0c7d71",
+    "example5": "89e48559015aa8c1ef368163a8da6f79ade05a39ff0f152b6d9df5f714401e8c",
+    "intro": "f26fbd3d3442f6c958557ef924e1674fba9d9ad38c57763debb8c4d31f9e5ca9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGED_DIGESTS))
+def test_packaged_report_bytes_pinned(name):
+    from meanexp.cli import run_packaged_example
+
+    text = dump_report(run_packaged_example(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"prime": 7, "norm": "x", "weight_num": 1},
+        {"prime": 7, "norm": 50, "weight_num": 1},
+        {"prime": 7, "norm": 25, "weight_num": 1},
+        {"prime": "7", "norm": 7, "weight_num": 1},
+        {"prime": 7, "norm": 7, "weight_num": "a"},
+        {"prime": 7, "norm": 7, "weight_num": -1},
+    ],
+    ids=["norm-not-int", "norm-not-power", "norm-other-prime", "prime-not-int", "weight-not-numeric",
+         "weight-negative"],
+)
+def test_capacity_override_rejects(entry):
+    data = copy.deepcopy(MINIMAL)
+    data["tv"]["capacity_overrides"] = [{"prime": 5, "norm": 25, "weight_num": 1}, entry]
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.location == "tv.capacity_overrides[1]"
+
+
+def _reference_fill(data: dict) -> dict:
+    """The greedy fill by enumerate-then-double: every candidate up to the
+    bound, a list fill, and a doubled bound whenever the list runs out."""
+    sc = parse_scenario(data)
+    g = sc.genus
+    pairs = sc.sigma_fixed_pin
+    if pairs is None:
+        pairs = [(q, float(num)) for q, num, _src in _derived_sigma_fixed(sc)]
+    problem = tv.TVProblem(
+        x0=sc.x0_num / g, x1=sc.x1_num / g, fixed=tuple((PrimePower.from_value(q), num / g) for q, num in pairs)
+    )
+    b_ded = None
+    if sc.b_deduction_nums is not None:
+        b_ded = (sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
+    closed = set(sc.t_dec) | set(sc.t_inert)
+    cap_num = sc.x0_num + 2 * sc.x1_num
+    bound = sc.norm_bound
+    while True:
+        infos = [_candidate_for_prime(sc, ell, cap_num) for ell in sieve_primes(bound) if ell not in closed]
+        infos = sorted((ci for ci in infos if ci is not None and ci.norm <= bound), key=lambda ci: ci.norm)
+        cands = [tv.Candidate(PrimePower.from_value(ci.norm), ci.weight_num / g) for ci in infos]
+        try:
+            sol = tv.optimize(problem, cands, b_deduction=b_ded)
+            break
+        except NeedsLargerEnumerationError:
+            if bound >= _MAX_NORM_BOUND:
+                raise
+            bound = min(2 * bound, _MAX_NORM_BOUND)
+    by_norm = {ci.norm: ci for ci in infos}
+    return {
+        "ell_star_0": None if sol.ell_star_0 is None else sol.ell_star_0.value,
+        "alpha": sol.alpha,
+        "prefix": [
+            {"norm": q.value, "prime": by_norm[q.value].prime, "weight_num": by_norm[q.value].weight_num,
+             "kind": by_norm[q.value].kind, "pinned": by_norm[q.value].pinned}
+            for q, _w in sol.prefix
+        ],
+        "B_upper": sol.B_upper,
+        "norm_bound_used": bound,
+    }
+
+
+def _deep(base: str, x1_num: float) -> dict:
+    """A packaged biquadratic base with T and sigma_fixed removed."""
+    data = json.loads(resources.files("meanexp").joinpath("scenarios", f"{base}.json").read_text())
+    data.pop("T", None)
+    data["tv"].pop("sigma_fixed", None)
+    data["tv"]["x1_num"] = x1_num
+    return data
+
+
+def _minimal_with_pins() -> dict:
+    data = copy.deepcopy(MINIMAL)
+    data["tv"].update(
+        norm_bound=8,
+        splitting_overrides={"5": "split", "7": "inert", "89": "inert"},
+        excluded=[13, 121],
+        eps_caps=[{"prime": 2, "eps_num": 2}, {"prime": 11, "eps_num": 3.5}],
+        capacity_overrides=[
+            {"prime": 17, "norm": 289, "weight_num": 1.5},
+            {"prime": 41, "norm": 41, "weight_num": 0},
+        ],
+    )
+    return data
+
+
+DEEP_CASES = [(base, x1) for base in ("example1", "example2", "example3", "example4", "intro") for x1 in (2, 1, 0.6)]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [_deep(base, x1) for base, x1 in DEEP_CASES] + [_minimal_with_pins()],
+    ids=[f"{base}-{x1}" for base, x1 in DEEP_CASES] + ["minimal-pins"],
+)
+def test_stream_matches_enumerate_then_double(data):
+    want = _reference_fill(data)
+    got = run_scenario_data(copy.deepcopy(data))["tv"]
+    assert {key: got[key] for key in want} == want
+
+
+def test_candidate_stream_is_ascending_and_matches_prefix():
+    sc = parse_scenario(_minimal_with_pins())
+    stream = candidate_stream(sc)
+    head = [next(stream) for _ in range(200)]
+    norms = [ci.norm for ci in head]
+    assert norms == sorted(set(norms))
+    assert build_candidates(sc, norms[-1]) == head
+    assert all(ci.norm == ci.prime**ci.m for ci in head)
+
+
+def test_zero_cap_with_weighted_override_stops_fast():
+    data = copy.deepcopy(MINIMAL)
+    data["T"] = {"dec": [], "inert": []}
+    data["tv"].update(x1_num=0, capacity_overrides=[{"prime": 7, "norm": 7, "weight_num": 1}])
+    start = time.perf_counter()
+    with pytest.raises(NeedsLargerEnumerationError):
+        run_scenario_data(data)
+    assert time.perf_counter() - start < 1.0

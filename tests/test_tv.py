@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from meanexp.arith import PrimePower
+from meanexp.arith import PrimePower, sieve_primes
 from meanexp.errors import (
     DomainError,
     InfeasibleProblemError,
@@ -17,6 +17,7 @@ from meanexp.tv import (
     TVProblem,
     a_coeff,
     alpha_constant,
+    assemble_B,
     b_coeff,
     budget,
     mean_exponent_upper,
@@ -176,3 +177,32 @@ def test_per_level_bound():
     lhs = per_level_bound(index, index * t, g, 0, B, 2)
     rhs = mean_exponent_upper(t, 2, alpha_constant(B, g, 0, 0), 0)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_optimize_reads_only_up_to_ell_star_0():
+    g = 30.0
+    read = []
+
+    def weight(q):
+        return (1 + q % 5) / g
+
+    def stream():
+        for q in sieve_primes(10**6):
+            read.append(q)
+            yield Candidate(P(q), weight(q))
+        raise AssertionError("read past the end")
+
+    sol = optimize(TVProblem(x0=0, x1=2 / g), stream())
+    stop = sol.ell_star_0.value
+    assert read[-1] == stop and weight(stop) != sol.prefix[-1][1]
+    payoff = sum(w * b_coeff(q) for q, w in sol.prefix) + sol.alpha * weight(stop) * b_coeff(stop)
+    assert sol.sum_b_bound == pytest.approx(payoff, rel=1e-14)
+    listed = optimize(TVProblem(x0=0, x1=2 / g), [Candidate(P(q), weight(q)) for q in read + [10007, 10009]])
+    assert listed == sol
+
+
+def test_optimize_degenerate_uses_common_assembly():
+    fixed = ((P(9), 0.01),)
+    sol = optimize(TVProblem(x0=0, x1=0.02, fixed=fixed), [Candidate(P(2), 0.0)], b_deduction=(0.1, 0.0))
+    assert sol.degenerate and sol.ell_star_0 is None and sol.prefix == ()
+    assert sol.B_upper == assemble_B(b_coeff(9) * 0.01, 0.1, 0.0)
