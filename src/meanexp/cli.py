@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 scenario schema violation, 3 infeasible
-optimization budget, 4 internal inconsistency, 64 unknown subcommand.
+Exit codes: 0 success, 2 invalid input (a scenario or flag value that
+violates the schema, or a value outside an operation's domain), 3
+infeasible optimization budget, 4 internal inconsistency, 64 unknown
+subcommand.
 Output is human-readable by default and JSON with --json; JSON output for
 a fixed input is byte-stable across runs.
 """
@@ -32,6 +34,13 @@ _EXAMPLE_NAMES = {"1": "example1", "2": "example2", "3": "example3",
                   "4": "example4", "5": "example5", "intro": "intro"}
 
 
+def _int_arg(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"expected an integer, got {text!r}", location=flag) from None
+
+
 def _parse_shape(text: str) -> AbelianPShape:
     """Parse 'p:2,exps:3,1' into a group shape."""
     p = None
@@ -40,15 +49,15 @@ def _parse_shape(text: str) -> AbelianPShape:
     for token in text.split(","):
         token = token.strip()
         if token.startswith("p:"):
-            p = int(token[2:])
+            p = _int_arg(token[2:], "--shape")
             mode = None
         elif token.startswith("exps:"):
             mode = "exps"
             rest = token[5:]
             if rest:
-                exps.append(int(rest))
+                exps.append(_int_arg(rest, "--shape"))
         elif mode == "exps" and token:
-            exps.append(int(token))
+            exps.append(_int_arg(token, "--shape"))
         elif token:
             raise SchemaError(f"cannot parse shape token {token!r}", location="--shape")
     if p is None:
@@ -139,7 +148,7 @@ def _cmd_propgroup(args) -> dict:
         d=args.d,
         r=args.r,
         p=args.p,
-        relation_degrees=tuple(int(x) for x in args.degrees.split(",")) if args.degrees else (),
+        relation_degrees=tuple(_int_arg(x, "--degrees") for x in args.degrees.split(",")) if args.degrees else (),
     )
     if args.mode == "series":
         series = propgroups.gs_series(params, args.N)
@@ -253,7 +262,7 @@ def main(argv=None) -> int:
     try:
         payload = args.func(args)
     except SchemaError as exc:
-        print(f"meanexp: scenario error: {exc}", file=sys.stderr)
+        print(f"meanexp: invalid input: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except InfeasibleProblemError as exc:
         print(f"meanexp: infeasible problem: {exc}", file=sys.stderr)

@@ -25,10 +25,6 @@ class InfeasibleProblemError(MeanexpError):
 class NeedsLargerEnumerationError(MeanexpError):
     """The candidate list was exhausted before the budget was consumed."""
 
-    def __init__(self, message, *, last_norm=None):
-        super().__init__(message)
-        self.last_norm = last_norm
-
 
 class SeriesError(MeanexpError):
     """A power series does not have the structure the operation requires."""

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from math import log
 
-from .arith import PrimePower, factor, is_prime, kronecker
+from .arith import PrimePower, factor, is_prime, kronecker, sieve_primes
 from .errors import DegenerateFieldError, DomainError
 
 
@@ -225,7 +225,7 @@ def splitting_type(fld: FieldDescriptor, ell: int) -> SplitType:
     return SplitType.SPLIT if kronecker(d, ell) == 1 else SplitType.INERT
 
 
-def norms_above(fld: FieldDescriptor, ell: int) -> list[tuple[int, int]]:
+def norms_above(fld: FieldDescriptor, ell: int, split: bool | None = None) -> list[tuple[int, int]]:
     """[(norm, count)] for the places of the field above a rational prime.
 
     Quadratic case: split -> two places of norm ell, inert -> one of norm
@@ -240,6 +240,10 @@ def norms_above(fld: FieldDescriptor, ell: int) -> list[tuple[int, int]]:
     to decide between two places of norm ell and one of norm ell^2.  A prime
     ramified in all three subfields (only ell = 2) is totally ramified: one
     place of norm ell.
+
+    `split`, when given, pins the splitting of a biquadratic field's prime in
+    place of the Kronecker verdict; ramification, and the splitting in a
+    quadratic field, are always derived.
     """
     if fld.degree == 2:
         st = splitting_type(fld, ell)
@@ -254,14 +258,13 @@ def norms_above(fld: FieldDescriptor, ell: int) -> list[tuple[int, int]]:
     ram = [D % ell == 0 for D in discs]
     n_ram = sum(ram)
     if n_ram == 0:
-        if kronecker(discs[0], ell) == 1 and kronecker(discs[1], ell) == 1:
-            return [(ell, 4)]
-        return [(ell * ell, 2)]
+        if split is None:
+            split = kronecker(discs[0], ell) == 1 and kronecker(discs[1], ell) == 1
+        return [(ell, 4)] if split else [(ell * ell, 2)]
     if n_ram == 2:
-        unram = discs[ram.index(False)]
-        if kronecker(unram, ell) == 1:
-            return [(ell, 2)]
-        return [(ell * ell, 1)]
+        if split is None:
+            split = kronecker(discs[ram.index(False)], ell) == 1
+        return [(ell, 2)] if split else [(ell * ell, 1)]
     if n_ram == 3:
         return [(ell, 1)]
     raise DomainError(f"prime {ell} ramifies in exactly one quadratic subfield")
@@ -269,8 +272,6 @@ def norms_above(fld: FieldDescriptor, ell: int) -> list[tuple[int, int]]:
 
 def enumerate_norms(fld: FieldDescriptor, bound: int) -> list[tuple[int, int]]:
     """All (norm, count) pairs with norm <= bound, sorted by norm."""
-    from .arith import sieve_primes
-
     if bound < 2:
         return []
     out = []

@@ -13,14 +13,15 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Any
 
-from .arith import PrimePower, is_prime, primes_between, sieve_primes, tame_local_sum
+from .arith import PrimePower, factor, is_prime, primes_between, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
-from .fields import FieldDescriptor, field_from_spec, quadratic_field
+from .fields import FieldDescriptor, field_from_spec, quadratic_field, splitting_type
 from . import fields, tv
 from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verdict
 
@@ -35,20 +36,52 @@ def _expect(cond: bool, message: str, location: str) -> None:
         raise SchemaError(message, location=location)
 
 
-def _as_int_list(value, location: str) -> list[int]:
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite int or float that converts to float; bool is not a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_prime(v) -> bool:
+    return _is_int(v) and is_prime(v)
+
+
+def _is_prime_power(v) -> bool:
+    return _is_int(v) and v >= 2 and len(set(factor(v))) == 1
+
+
+def _optional_number(data: dict, key: str, positive: bool = False) -> float | None:
+    """data[key] as a float, or None when it is absent or null."""
+    value = data.get(key)
+    if value is None:
+        return None
+    ok = _is_number(value) and (value > 0 or not positive)
+    _expect(ok, "must be a positive number" if positive else "must be a number", key)
+    return float(value)
+
+
+def _as_list(value, location: str, ok=_is_int, what: str = "integers") -> list:
+    """value as a list whose items all satisfy ok; SchemaError names the item."""
     _expect(isinstance(value, list), "expected a list", location)
     for i, v in enumerate(value):
-        _expect(isinstance(v, int) and not isinstance(v, bool), "expected integers", f"{location}[{i}]")
+        _expect(ok(v), f"expected {what}", f"{location}[{i}]")
     return list(value)
 
 
-@dataclass(frozen=True)
-class CandidateInfo:
-    """A greedy candidate plus the bookkeeping the report needs."""
+def _entries(tvsec: dict, key: str, required: set[str]) -> list[tuple[str, dict]]:
+    """(location, entry) for each object of the list tv.key; each holds `required`."""
+    entries = _as_list(tvsec.get(key, []), f"tv.{key}", lambda e: isinstance(e, dict) and required <= set(e),
+                       f"objects with {', '.join(sorted(required))}")
+    return [(f"tv.{key}[{i}]", entry) for i, entry in enumerate(entries)]
 
-    prime: int
-    norm: int
-    m: int  # norm = prime**m
+
+@dataclass(frozen=True)
+class CandidateInfo(tv.Candidate):
+    """A greedy candidate (`weight` = `weight_num` / g) plus the bookkeeping the report needs."""
+
     weight_num: float  # in genus units
     kind: str  # split_full | ram_split | inert_sq | total_ram | override | shifted
     pinned: bool = False
@@ -96,10 +129,14 @@ def parse_scenario(data: dict) -> Scenario:
     label = data.get("label", "")
     _expect(isinstance(label, str), "label must be a string", "label")
     p = data.get("p")
-    _expect(isinstance(p, int) and is_prime(p), "p must be a prime integer", "p")
+    _expect(_is_prime(p), "p must be a prime integer", "p")
 
     fspec = data.get("field")
     _expect(isinstance(fspec, dict), "field must be an object", "field")
+    for key in ("radicand_factors", "d1_factors", "d2_factors"):
+        factors = fspec.get(key, [])
+        ok = isinstance(factors, list) and all(map(_is_int, factors))
+        _expect(ok, "expected a list of integers", f"field.{key}")
     try:
         field = field_from_spec(fspec, label=label)
     except (DomainError, KeyError) as exc:
@@ -111,64 +148,42 @@ def parse_scenario(data: dict) -> Scenario:
     elif field.degree == 2:
         base = field
 
-    g_override = data.get("g_override")
-    if g_override is not None:
-        _expect(isinstance(g_override, (int, float)), "g_override must be numeric", "g_override")
-        g_override = float(g_override)
+    g_override = _optional_number(data, "g_override", positive=True)
+    eps_lin = _optional_number(data, "epsilon_linear", positive=True)
+    coarse_B = _optional_number(data, "coarse_B")
+    C0 = _optional_number(data, "C0", positive=True)
 
     tsec = data.get("T", {"dec": [], "inert": []})
     _expect(isinstance(tsec, dict), "T must be an object", "T")
-    t_dec = _as_int_list(tsec.get("dec", []), "T.dec")
-    t_inert = _as_int_list(tsec.get("inert", []), "T.inert")
-    for loc, primes in (("T.dec", t_dec), ("T.inert", t_inert)):
-        for ell in primes:
-            _expect(is_prime(ell), f"{ell} is not prime", loc)
+    t_dec = _as_list(tsec.get("dec", []), "T.dec", _is_prime, "primes")
+    t_inert = _as_list(tsec.get("inert", []), "T.inert", _is_prime, "primes")
     _expect(not set(t_dec) & set(t_inert), "T.dec and T.inert overlap", "T")
-
-    eps_lin = data.get("epsilon_linear")
-    if eps_lin is not None:
-        _expect(isinstance(eps_lin, (int, float)) and eps_lin > 0, "must be positive", "epsilon_linear")
-        eps_lin = float(eps_lin)
-
-    coarse_B = data.get("coarse_B")
-    if coarse_B is not None:
-        _expect(isinstance(coarse_B, (int, float)), "coarse_B must be numeric", "coarse_B")
-        coarse_B = float(coarse_B)
 
     alpha_sig = data.get("alpha_signature")
     if alpha_sig is not None:
-        sig = _as_int_list(alpha_sig, "alpha_signature")
+        sig = _as_list(alpha_sig, "alpha_signature")
         _expect(len(sig) == 2 and min(sig) >= 0, "expected [r1, r2]", "alpha_signature")
         alpha_sig = (sig[0], sig[1])
-
-    C0 = data.get("C0")
-    if C0 is not None:
-        _expect(isinstance(C0, (int, float)) and C0 > 0, "C0 must be positive", "C0")
-        C0 = float(C0)
 
     tvsec = data.get("tv", {})
     _expect(isinstance(tvsec, dict), "tv must be an object", "tv")
     x0_num = tvsec.get("x0_num", 0)
     x1_num = tvsec.get("x1_num", 0)
     for name, val in (("x0_num", x0_num), ("x1_num", x1_num)):
-        _expect(isinstance(val, (int, float)) and val >= 0, "must be nonnegative", f"tv.{name}")
+        _expect(_is_number(val) and val >= 0, "must be a number >= 0", f"tv.{name}")
 
     sigma_pin = None
     if "sigma_fixed" in tvsec:
         sigma_pin = []
-        _expect(isinstance(tvsec["sigma_fixed"], list), "expected a list", "tv.sigma_fixed")
-        for i, entry in enumerate(tvsec["sigma_fixed"]):
-            loc = f"tv.sigma_fixed[{i}]"
-            _expect(isinstance(entry, dict) and "q" in entry and "num" in entry, "need q and num", loc)
-            _expect(isinstance(entry["q"], int) and entry["q"] >= 2, "q must be an integer >= 2", loc)
-            _expect(isinstance(entry["num"], (int, float)) and entry["num"] >= 0, "bad num", loc)
+        for loc, entry in _entries(tvsec, "sigma_fixed", {"q", "num"}):
+            _expect(_is_prime_power(entry["q"]), "q must be a prime power", loc)
+            _expect(_is_number(entry["num"]) and entry["num"] >= 0, "num must be a number >= 0", loc)
             sigma_pin.append((entry["q"], float(entry["num"])))
 
     eps_caps = {}
-    for i, entry in enumerate(tvsec.get("eps_caps", [])):
-        loc = f"tv.eps_caps[{i}]"
-        _expect(isinstance(entry, dict) and "prime" in entry and "eps_num" in entry, "need prime and eps_num", loc)
-        _expect(is_prime(entry["prime"]), "prime required", loc)
+    for loc, entry in _entries(tvsec, "eps_caps", {"prime", "eps_num"}):
+        _expect(_is_prime(entry["prime"]), "prime required", loc)
+        _expect(_is_number(entry["eps_num"]), "eps_num must be a number", loc)
         eps_caps[entry["prime"]] = float(entry["eps_num"])
 
     overrides = {}
@@ -185,35 +200,30 @@ def parse_scenario(data: dict) -> Scenario:
         overrides[ell] = val
 
     cap_overrides = {}
-    for i, entry in enumerate(tvsec.get("capacity_overrides", [])):
-        loc = f"tv.capacity_overrides[{i}]"
-        _expect(
-            isinstance(entry, dict) and {"prime", "norm", "weight_num"} <= set(entry),
-            "need prime, norm, weight_num",
-            loc,
-        )
+    for loc, entry in _entries(tvsec, "capacity_overrides", {"prime", "norm", "weight_num"}):
         ell, norm, weight = entry["prime"], entry["norm"], entry["weight_num"]
-        _expect(isinstance(ell, int) and is_prime(ell), "prime required", loc)
-        is_power = isinstance(norm, int) and norm >= ell and ell ** round(math.log(norm, ell)) == norm
+        _expect(_is_prime(ell), "prime required", loc)
+        is_power = _is_int(norm) and norm >= ell and ell ** round(math.log(norm, ell)) == norm
         _expect(is_power, "norm must be a power of the prime", loc)
-        _expect(isinstance(weight, (int, float)) and 0 <= weight < math.inf, "weight_num must be >= 0", loc)
+        _expect(_is_number(weight) and weight >= 0, "weight_num must be >= 0", loc)
         cap_overrides[ell] = (norm, float(weight))
 
-    excluded = set(_as_int_list(tvsec.get("excluded", []), "tv.excluded"))
+    excluded = set(_as_list(tvsec.get("excluded", []), "tv.excluded", _is_prime_power, "prime powers"))
 
     b_ded = tvsec.get("b_deduction_nums")
     if b_ded is not None:
-        vals = b_ded
-        _expect(isinstance(vals, list) and len(vals) == 2, "expected [x0_num, x1_num]", "tv.b_deduction_nums")
-        b_ded = (float(vals[0]), float(vals[1]))
+        ok = isinstance(b_ded, list) and len(b_ded) == 2 and all(map(_is_number, b_ded))
+        _expect(ok, "expected [x0_num, x1_num]", "tv.b_deduction_nums")
+        b_ded = (float(b_ded[0]), float(b_ded[1]))
 
     norm_bound = tvsec.get("norm_bound", 1000)
-    _expect(isinstance(norm_bound, int) and norm_bound >= 2, "norm_bound must be >= 2", "tv.norm_bound")
+    _expect(_is_int(norm_bound) and norm_bound >= 2, "norm_bound must be >= 2", "tv.norm_bound")
 
-    s_norms = _as_int_list(data.get("S_norms", []), "S_norms")
+    s_norms = _as_list(data.get("S_norms", []), "S_norms", _is_prime_power, "prime powers")
     ray = data.get("ray_sigma", {})
     _expect(isinstance(ray, dict), "ray_sigma must be an object", "ray_sigma")
-    ray_norms = _as_int_list(ray.get("norms", []), "ray_sigma.norms")
+    ray_norms = _as_list(ray.get("norms", []), "ray_sigma.norms",
+                         lambda q: _is_prime_power(q) and q > 2 and q % p != 0, "prime powers > 2 coprime to p")
     ray_split = bool(ray.get("split_completely", False))
 
     published_reference = data.get("published_reference", {})
@@ -268,28 +278,14 @@ def _derived_sigma_fixed(sc: Scenario) -> list[tuple[int, int, str]]:
     return out
 
 
-def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float) -> CandidateInfo | None:
+def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float, g: float) -> CandidateInfo | None:
     """Cheapest admissible norm for one prime, honoring pins and exclusions."""
     if ell in sc.capacity_overrides:
         norm, weight = sc.capacity_overrides[ell]
-        m = PrimePower.from_value(norm).m
-        return CandidateInfo(prime=ell, norm=norm, m=m, weight_num=weight, kind="override", pinned=True)
+        return CandidateInfo(ell, norm, weight / g, weight_num=weight, kind="override", pinned=True)
 
-    discs = sc.field.subfield_discs
-    pinned = ell in sc.splitting_overrides
-    if sc.field.degree == 4 and pinned:
-        ram = [D % ell == 0 for D in discs]
-        n_ram = sum(ram)
-        forced_split = sc.splitting_overrides[ell] == "split"
-        if n_ram == 0:
-            places = [(ell, 4)] if forced_split else [(ell * ell, 2)]
-        elif n_ram == 2:
-            places = [(ell, 2)] if forced_split else [(ell * ell, 1)]
-        else:
-            places = [(ell, 1)]
-    else:
-        places = fields.norms_above(sc.field, ell)
-
+    pin = sc.splitting_overrides.get(ell)
+    places = fields.norms_above(sc.field, ell, None if pin is None else pin == "split")
     norm, count = places[0]
     m = 1 if norm == ell else 2
     eps = sc.eps_caps.get(ell, 0.0)
@@ -317,7 +313,7 @@ def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float) -> CandidateInf
             kind = "inert_sq"
     else:
         kind = "shifted" if shifted else "quadratic"
-    return CandidateInfo(prime=ell, norm=norm, m=m, weight_num=weight, kind=kind, pinned=pinned)
+    return CandidateInfo(ell, norm, weight / g, weight_num=weight, kind=kind, pinned=pin is not None)
 
 
 def _primes_from(first: int, limit: int) -> Iterator[int]:
@@ -337,12 +333,13 @@ def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo]:
     can carry weight, so only their primes are visited."""
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
+    g = sc.genus
     limit = max(sc.norm_bound, _MAX_NORM_BOUND)
     overrides = sorted(q for q in sc.capacity_overrides if q <= limit)
     primes = _primes_from(sc.norm_bound, limit) if cap_num > 0 else overrides
     waiting: list[tuple[int, CandidateInfo]] = []
     for ell in primes:
-        cand = None if ell in closed else _candidate_for_prime(sc, ell, cap_num)
+        cand = None if ell in closed else _candidate_for_prime(sc, ell, cap_num, g)
         if cand is not None and cand.norm <= limit:
             heapq.heappush(waiting, (cand.norm, cand))
         while waiting and waiting[0][0] <= ell:
@@ -367,16 +364,14 @@ def run_scenario(path) -> dict:
 def run_scenario_obj(sc: Scenario) -> dict:
     g = sc.genus
     field = sc.field
+    t_places = 2 * len(sc.t_dec) + len(sc.t_inert)
 
     # --- T declaration vs derived splitting in the real quadratic subfield
     t_checks = []
     if sc.base_quadratic is not None and field.degree == 4:
-        from .fields import SplitType, splitting_type
-
         declared_pairs = [(q, "split") for q in sc.t_dec] + [(q, "inert") for q in sc.t_inert]
         for ell, declared in declared_pairs:
-            st = splitting_type(sc.base_quadratic, ell)
-            derived = {SplitType.SPLIT: "split", SplitType.INERT: "inert", SplitType.RAMIFIED: "ramified"}[st]
+            derived = splitting_type(sc.base_quadratic, ell).value
             t_checks.append({"prime": ell, "declared": declared, "derived": derived, "agree": declared == derived})
 
     # --- infinitude criterion over the real quadratic subfield
@@ -386,7 +381,6 @@ def run_scenario_obj(sc: Scenario) -> dict:
         tset = set(sc.t_dec) | set(sc.t_inert)
         rho = len(ram - tset)
         t_rational = len(sc.t_dec) + len(sc.t_inert)
-        t_places = 2 * len(sc.t_dec) + len(sc.t_inert)
         critere_block = {
             "rho": rho,
             "t_dec": len(sc.t_dec),
@@ -401,9 +395,8 @@ def run_scenario_obj(sc: Scenario) -> dict:
     # via the Euler characteristic, and a large enough rank forces infinitude
     gs_block = None
     if sc.base_quadratic is not None and field.degree == 4:
-        t_places0 = 2 * len(sc.t_dec) + len(sc.t_inert)
         arch0 = sc.base_quadratic.r1 if field.r2 > 0 else 0
-        rho0 = t_places0 + arch0
+        rho0 = t_places + arch0
         d_lower = genus_rank_bound(rho0, sc.base_quadratic.r1, sc.base_quadratic.r2, 1)
         gs_block = {"rho": rho0, "d_lower": d_lower}
         if d_lower >= 1:
@@ -416,7 +409,6 @@ def run_scenario_obj(sc: Scenario) -> dict:
 
     # --- linear rank growth rate
     arch_ram = 2 if field.r2 > 0 else 0
-    t_places = 2 * len(sc.t_dec) + len(sc.t_inert)
     eps_derived = t_places + arch_ram - 2 if (sc.t_dec or sc.t_inert) else None
     eps_used = sc.epsilon_linear if sc.epsilon_linear is not None else eps_derived
     epsilon_block = {
@@ -442,28 +434,20 @@ def run_scenario_obj(sc: Scenario) -> dict:
     )
 
     # --- the greedy fill, reading the candidate stream up to ell_star_0
-    info_by_norm: dict[int, CandidateInfo] = {}
-
-    def candidates() -> Iterator[tv.Candidate]:
-        for ci in candidate_stream(sc):
-            info_by_norm[ci.norm] = ci
-            yield tv.Candidate(norm=PrimePower(ci.prime, ci.m), weight=ci.weight_num / g)
-
     b_ded = None if sc.b_deduction_nums is None else (sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
-    solution = tv.optimize(problem, candidates(), b_deduction=b_ded)
+    solution = tv.optimize(problem, candidate_stream(sc), b_deduction=b_ded)
 
-    prefix_infos = [info_by_norm[q.value] for q, _w in solution.prefix]
-    lstar0 = solution.ell_star_0.value if solution.ell_star_0 is not None else None
+    lstar0 = solution.ell_star_0.norm if solution.ell_star_0 is not None else None
     # the doubling tier of norm_bound that holds the stop norm
     bound = sc.norm_bound
     while lstar0 is not None and bound < lstar0:
         bound = min(bound * 2, _MAX_NORM_BOUND)
-    split_below = sum(1 for ci in prefix_infos if ci.kind == "split_full")
+    split_below = sum(1 for ci in solution.prefix if ci.kind == "split_full")
     # budget left once everything except the totally split candidates is paid
     # for -- the published computations quote this intermediate
     nonsplit_cost = sum(
-        (ci.weight_num / g) * tv.a_coeff(ci.norm)
-        for ci in prefix_infos
+        ci.weight * tv.a_coeff(ci.norm)
+        for ci in solution.prefix
         if ci.kind != "split_full"
     )
     budget_after_nonsplit = (solution.budget - nonsplit_cost) * g
@@ -539,7 +523,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
             "prefix": [
                 {"norm": ci.norm, "prime": ci.prime, "weight_num": ci.weight_num,
                  "kind": ci.kind, "pinned": ci.pinned}
-                for ci in prefix_infos
+                for ci in solution.prefix
             ],
         },
         "bounds": bounds_block,

@@ -24,7 +24,7 @@ genus); scenario code converts from genus-scaled integers at the boundary.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, log, pi, sqrt
 
 from .arith import PrimePower
@@ -87,14 +87,12 @@ def zimmert_lower(x0: float, x1: float) -> float:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A prime's cheapest admissible norm with its admissible density mass."""
+    """A prime's cheapest admissible norm (a power of `prime`) with its
+    absolute density cap."""
 
-    norm: PrimePower
-    weight: float  # absolute density cap at this norm
-
-    @property
-    def value(self) -> int:
-        return self.norm.value
+    prime: int
+    norm: int
+    weight: float
 
 
 @dataclass(frozen=True)
@@ -143,27 +141,18 @@ def budget(problem: TVProblem) -> float:
 
 @dataclass(frozen=True)
 class TVSolution:
-    """Greedy fill result with every intermediate needed for auditing."""
+    """Greedy fill result with every intermediate needed for auditing.
 
-    ell_star_0: PrimePower | None
+    `prefix` holds the candidates filled whole, as read; `ell_star_0` is the
+    candidate filled by the fraction `alpha`."""
+
+    ell_star_0: Candidate | None
     alpha: float
     sum_b_bound: float
     B_upper: float
     budget: float
-    prefix: tuple[tuple[PrimePower, float], ...]
+    prefix: tuple[Candidate, ...]
     degenerate: bool = False
-    b_deduction: tuple[float, float] = field(default=(0.0, 0.0))
-
-    def to_json(self) -> dict:
-        return {
-            "ell_star_0": None if self.ell_star_0 is None else self.ell_star_0.value,
-            "alpha": self.alpha,
-            "sum_b_bound": self.sum_b_bound,
-            "B_upper": self.B_upper,
-            "budget": self.budget,
-            "degenerate": self.degenerate,
-            "prefix": [[q.value, w] for q, w in self.prefix],
-        }
 
 
 def assemble_B(sum_b: float, x0: float, x1: float) -> float:
@@ -192,42 +181,39 @@ def optimize(
     assembly alongside the derived one.
     """
     left = budget(problem)
-    prefix: list[tuple[PrimePower, float]] = []
-    ell_star_0: PrimePower | None = None
+    prefix: list[Candidate] = []
+    ell_star_0: Candidate | None = None
     alpha = 0.0
     consumed = 0.0
-    last: Candidate | None = None
+    last_norm = 0
     seen_primes: set[int] = set()
     for cand in candidates:
-        if last is not None and cand.value <= last.value:
+        if cand.norm <= last_norm:
             raise DomainError("candidates must be strictly ascending by norm value")
         if cand.weight < 0:
             raise DomainError("candidate weights must be nonnegative")
-        if cand.norm.ell in seen_primes:
-            raise DomainError(f"two candidates for prime {cand.norm.ell}")
-        seen_primes.add(cand.norm.ell)
-        last = cand
+        if cand.prime in seen_primes:
+            raise DomainError(f"two candidates for prime {cand.prime}")
+        seen_primes.add(cand.prime)
+        last_norm = cand.norm
         cost = cand.weight * a_coeff(cand.norm)
         if cost <= left - consumed:
             consumed += cost
             if cand.weight > 0:
-                prefix.append((cand.norm, cand.weight))
+                prefix.append(cand)
         else:
-            ell_star_0 = cand.norm
+            ell_star_0 = cand
             alpha = (left - consumed) / cost
             break
     # a positive weight lands either in the prefix or at ell_star_0
     degenerate = not prefix and ell_star_0 is None
     if ell_star_0 is None and not degenerate and left - consumed > 1e-12:
-        raise NeedsLargerEnumerationError(
-            f"candidates exhausted with budget {left - consumed:.6g} unconsumed",
-            last_norm=last.value,
-        )
+        raise NeedsLargerEnumerationError(f"candidates exhausted with budget {left - consumed:.6g} unconsumed")
 
     sum_b = problem.fixed_payoff()
-    sum_b += sum(w * b_coeff(q) for q, w in prefix)
+    sum_b += sum(c.weight * b_coeff(c.norm) for c in prefix)
     if ell_star_0 is not None:
-        sum_b += alpha * last.weight * b_coeff(ell_star_0)
+        sum_b += alpha * ell_star_0.weight * b_coeff(ell_star_0.norm)
     ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)
     return TVSolution(
         ell_star_0=ell_star_0,
@@ -237,7 +223,6 @@ def optimize(
         budget=left,
         prefix=tuple(prefix),
         degenerate=degenerate,
-        b_deduction=ded,
     )
 
 

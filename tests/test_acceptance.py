@@ -247,11 +247,11 @@ def test_criterion_10_property_floor():
 
     g = 25.0
     from meanexp.arith import PrimePower
-    cands = [tv.Candidate(PrimePower.from_value(q), 4 / g) for q in sieve_primes(200)]
+    cands = [tv.Candidate(q, q, 4 / g) for q in sieve_primes(200)]
     full = tv.optimize(tv.TVProblem(x0=0, x1=2 / g), cands)
     fixed = tv.optimize(
         tv.TVProblem(x0=0, x1=2 / g, fixed=((PrimePower.from_value(9), 1 / g),)),
-        [cd for cd in cands if cd.norm.ell != 3],
+        [cd for cd in cands if cd.prime != 3],
     )
     c.check("optimizer monotone under freed budget", full.sum_b_bound >= fixed.sum_b_bound - 1e-12)
 

@@ -179,3 +179,24 @@ def test_text_output_default(capsys):
     code, out, _ = run_cli(["gs-check", "--d", "5", "--r-upper", "6"], capsys)
     assert code == 0
     assert "verdict: must_be_infinite" in out
+
+
+def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "label": "zero-genus",
+        "p": 2,
+        "field": {"type": "quadratic", "radicand_factors": [-1, 3]},
+        "g_override": 0,
+        "tv": {"x0_num": 0, "x1_num": 1},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, location in [
+        (["tv-bound", "--scenario", str(path)], "g_override"),
+        (["mean-exponent", "--shape", "p:x"], "--shape"),
+        (["propgroup", "ranks", "--d", "4", "--r", "4", "--degrees", "2,x"], "--degrees"),
+    ]:
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert location in err and "Traceback" not in err

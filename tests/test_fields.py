@@ -189,3 +189,28 @@ def test_norms_above_two_characters_match_three():
                 continue
             split = all(kronecker(D, ell) == 1 for D in fld.subfield_discs)
             assert norms_above(fld, ell) == ([(ell, 4)] if split else [(ell * ell, 2)]), (name, ell)
+
+
+def _forced_split_table(fld, ell, forced_split):
+    """The splitting pin as scenario code once wrote it out beside norms_above."""
+    n_ram = sum(D % ell == 0 for D in fld.subfield_discs)
+    if n_ram == 0:
+        return [(ell, 4)] if forced_split else [(ell * ell, 2)]
+    if n_ram == 2:
+        return [(ell, 2)] if forced_split else [(ell * ell, 1)]
+    return [(ell, 1)]
+
+
+def test_norms_above_split_pin_matches_forced_split_table():
+    import json
+    from importlib import resources
+
+    from meanexp.arith import sieve_primes
+
+    for name in ("example1", "example2", "example3", "example4", "example5", "intro"):
+        spec = json.loads(resources.files("meanexp").joinpath("scenarios", f"{name}.json").read_text())["field"]
+        fld = field_from_spec(spec)
+        assert fld.degree == 4
+        for ell in sieve_primes(1999):
+            for split in (True, False):
+                assert norms_above(fld, ell, split) == _forced_split_table(fld, ell, split), (name, ell, split)

@@ -5,6 +5,8 @@ import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanexp import tv
 from meanexp.arith import PrimePower, sieve_primes
@@ -295,9 +297,9 @@ def _reference_fill(data: dict) -> dict:
     cap_num = sc.x0_num + 2 * sc.x1_num
     bound = sc.norm_bound
     while True:
-        infos = [_candidate_for_prime(sc, ell, cap_num) for ell in sieve_primes(bound) if ell not in closed]
+        infos = [_candidate_for_prime(sc, ell, cap_num, g) for ell in sieve_primes(bound) if ell not in closed]
         infos = sorted((ci for ci in infos if ci is not None and ci.norm <= bound), key=lambda ci: ci.norm)
-        cands = [tv.Candidate(PrimePower.from_value(ci.norm), ci.weight_num / g) for ci in infos]
+        cands = [tv.Candidate(ci.prime, ci.norm, ci.weight_num / g) for ci in infos]
         try:
             sol = tv.optimize(problem, cands, b_deduction=b_ded)
             break
@@ -307,12 +309,12 @@ def _reference_fill(data: dict) -> dict:
             bound = min(2 * bound, _MAX_NORM_BOUND)
     by_norm = {ci.norm: ci for ci in infos}
     return {
-        "ell_star_0": None if sol.ell_star_0 is None else sol.ell_star_0.value,
+        "ell_star_0": None if sol.ell_star_0 is None else sol.ell_star_0.norm,
         "alpha": sol.alpha,
         "prefix": [
-            {"norm": q.value, "prime": by_norm[q.value].prime, "weight_num": by_norm[q.value].weight_num,
-             "kind": by_norm[q.value].kind, "pinned": by_norm[q.value].pinned}
-            for q, _w in sol.prefix
+            {"norm": c.norm, "prime": by_norm[c.norm].prime, "weight_num": by_norm[c.norm].weight_num,
+             "kind": by_norm[c.norm].kind, "pinned": by_norm[c.norm].pinned}
+            for c in sol.prefix
         ],
         "B_upper": sol.B_upper,
         "norm_bound_used": bound,
@@ -364,7 +366,7 @@ def test_candidate_stream_is_ascending_and_matches_prefix():
     norms = [ci.norm for ci in head]
     assert norms == sorted(set(norms))
     assert build_candidates(sc, norms[-1]) == head
-    assert all(ci.norm == ci.prime**ci.m for ci in head)
+    assert all(PrimePower.from_value(ci.norm).ell == ci.prime for ci in head)
 
 
 def test_zero_cap_with_weighted_override_stops_fast():
@@ -375,3 +377,89 @@ def test_zero_cap_with_weighted_override_stops_fast():
     with pytest.raises(NeedsLargerEnumerationError):
         run_scenario_data(data)
     assert time.perf_counter() - start < 1.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, location",
+    [
+        ("field", "d1_factors", "abc", "field.d1_factors"),
+        ("field", "d1_factors", [2.5], "field.d1_factors"),
+        ("tv", "eps_caps", [{"prime": "x", "eps_num": 1}], "tv.eps_caps[0]"),
+        ("tv", "eps_caps", [{"prime": 2, "eps_num": "a"}], "tv.eps_caps[0]"),
+        ("tv", "eps_caps", [{"prime": 2, "eps_num": NAN}], "tv.eps_caps[0]"),
+        ("tv", "b_deduction_nums", ["a", 1], "tv.b_deduction_nums"),
+        (None, "g_override", 0, "g_override"),
+        ("tv", "x1_num", INF, "tv.x1_num"),
+        ("tv", "x1_num", True, "tv.x1_num"),
+        (None, "epsilon_linear", INF, "epsilon_linear"),
+        (None, "coarse_B", NAN, "coarse_B"),
+        (None, "S_norms", [1], "S_norms[0]"),
+        ("tv", "excluded", [1], "tv.excluded[0]"),
+        ("tv", "sigma_fixed", [{"q": 6, "num": 1}], "tv.sigma_fixed[0]"),
+        (None, "ray_sigma", {"norms": [4]}, "ray_sigma.norms[0]"),
+    ],
+)
+def test_malformed_input_names_its_location(section, key, value, location):
+    data = copy.deepcopy(MINIMAL)
+    (data[section] if section else data)[key] = value
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.location == location
+
+
+def _key_paths(obj: dict, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+_SPECIAL = [_DELETE, None, True, False, NAN, INF, -INF, 10**400, 1e308, 0, -1, "", "x", [], {}]
+_JUNK = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.booleans(), st.integers(-60, 60), st.floats(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-5, 5), max_size=2),
+)
+
+
+def _mutated(mutations) -> dict:
+    data = copy.deepcopy(MINIMAL)
+    for path, value in mutations:
+        parent = data
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        if value is _DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    return data
+
+
+def _parses_or_schema_error(data: dict) -> None:
+    try:
+        parse_scenario(data)
+    except SchemaError:
+        pass
+
+
+def test_every_key_swap_raises_only_schema_error():
+    """Each special value, deletion included, on each key of MINIMAL alone."""
+    for path in _key_paths(MINIMAL):
+        for value in _SPECIAL:
+            _parses_or_schema_error(_mutated([(path, value)]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_key_paths(MINIMAL))), _JUNK), min_size=1, max_size=3))
+def test_parse_scenario_fuzz_raises_only_schema_error(mutations):
+    """Type swaps, deleted keys, nan/inf and bools on every key of MINIMAL."""
+    _parses_or_schema_error(_mutated(mutations))

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -73,25 +75,25 @@ def test_budget():
 def test_optimize_budget_consumed_exactly():
     g = 30.0
     prob = TVProblem(x0=0, x1=2 / g)
-    cands = [Candidate(P(q), 4 / g) for q in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]]
+    cands = [Candidate(q, q, 4 / g) for q in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]]
     sol = optimize(prob, cands)
     assert sol.ell_star_0 is not None
     assert 0 <= sol.alpha < 1
-    consumed = sum(w * a_coeff(q) for q, w in sol.prefix)
-    consumed += sol.alpha * (4 / g) * a_coeff(sol.ell_star_0)
+    consumed = sum(c.weight * a_coeff(c.norm) for c in sol.prefix)
+    consumed += sol.alpha * (4 / g) * a_coeff(sol.ell_star_0.norm)
     assert consumed == pytest.approx(sol.budget, rel=1e-9)
 
 
 def test_optimize_needs_larger_enumeration():
     g = 30.0
     prob = TVProblem(x0=0, x1=2 / g)
-    cands = [Candidate(P(2), 4 / g)]
+    cands = [Candidate(2, 2, 4 / g)]
     with pytest.raises(NeedsLargerEnumerationError):
         optimize(prob, cands)
 
 
 def test_optimize_degenerate():
-    sol = optimize(TVProblem(x0=0, x1=0), [Candidate(P(q), 0.0) for q in (2, 3, 5)])
+    sol = optimize(TVProblem(x0=0, x1=0), [Candidate(q, q, 0.0) for q in (2, 3, 5)])
     assert sol.degenerate
     assert sol.sum_b_bound == 0.0
     assert sol.B_upper == 1.0
@@ -102,21 +104,21 @@ def test_optimize_degenerate():
 def test_optimize_validates_candidates():
     prob = TVProblem(x0=0, x1=0.1)
     with pytest.raises(DomainError):
-        optimize(prob, [Candidate(P(3), 0.1), Candidate(P(2), 0.1)])  # not ascending
+        optimize(prob, [Candidate(3, 3, 0.1), Candidate(2, 2, 0.1)])  # not ascending
     with pytest.raises(DomainError):
-        optimize(prob, [Candidate(P(2), 0.1), Candidate(P(4), 0.1)])  # same prime twice
+        optimize(prob, [Candidate(2, 2, 0.1), Candidate(2, 4, 0.1)])  # same prime twice
 
 
 def test_optimize_monotone_in_budget():
     g = 25.0
-    cands = [Candidate(P(q), 4 / g) for q in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]]
+    cands = [Candidate(q, q, 4 / g) for q in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]]
     fixed = ((P(9), 1 / g),)
-    with_fixed = optimize(TVProblem(x0=0, x1=2 / g, fixed=fixed), [c for c in cands if c.norm.ell != 3])
+    with_fixed = optimize(TVProblem(x0=0, x1=2 / g, fixed=fixed), [c for c in cands if c.prime != 3])
     without_fixed = optimize(TVProblem(x0=0, x1=2 / g), cands)
     # removing a fixed entry frees budget: the payoff bound cannot drop
     assert without_fixed.sum_b_bound >= with_fixed.sum_b_bound - 1e-12
     # an exclusion (dropping a candidate) cannot raise the bound
-    excl = optimize(TVProblem(x0=0, x1=2 / g), [c for c in cands if c.norm.value != 2])
+    excl = optimize(TVProblem(x0=0, x1=2 / g), [c for c in cands if c.norm != 2])
     assert excl.sum_b_bound <= without_fixed.sum_b_bound + 1e-12
 
 
@@ -189,20 +191,60 @@ def test_optimize_reads_only_up_to_ell_star_0():
     def stream():
         for q in sieve_primes(10**6):
             read.append(q)
-            yield Candidate(P(q), weight(q))
+            yield Candidate(q, q, weight(q))
         raise AssertionError("read past the end")
 
     sol = optimize(TVProblem(x0=0, x1=2 / g), stream())
-    stop = sol.ell_star_0.value
-    assert read[-1] == stop and weight(stop) != sol.prefix[-1][1]
-    payoff = sum(w * b_coeff(q) for q, w in sol.prefix) + sol.alpha * weight(stop) * b_coeff(stop)
+    stop = sol.ell_star_0.norm
+    assert read[-1] == stop and weight(stop) != sol.prefix[-1].weight
+    payoff = sum(c.weight * b_coeff(c.norm) for c in sol.prefix) + sol.alpha * weight(stop) * b_coeff(stop)
     assert sol.sum_b_bound == pytest.approx(payoff, rel=1e-14)
-    listed = optimize(TVProblem(x0=0, x1=2 / g), [Candidate(P(q), weight(q)) for q in read + [10007, 10009]])
+    listed = optimize(TVProblem(x0=0, x1=2 / g), [Candidate(q, q, weight(q)) for q in read + [10007, 10009]])
     assert listed == sol
 
 
 def test_optimize_degenerate_uses_common_assembly():
     fixed = ((P(9), 0.01),)
-    sol = optimize(TVProblem(x0=0, x1=0.02, fixed=fixed), [Candidate(P(2), 0.0)], b_deduction=(0.1, 0.0))
+    sol = optimize(TVProblem(x0=0, x1=0.02, fixed=fixed), [Candidate(2, 2, 0.0)], b_deduction=(0.1, 0.0))
     assert sol.degenerate and sol.ell_star_0 is None and sol.prefix == ()
     assert sol.B_upper == assemble_B(b_coeff(9) * 0.01, 0.1, 0.0)
+
+
+def _exact_fill(left: Fraction, cands):
+    """Fractional knapsack in exact arithmetic, items in descending payoff/budget
+    ratio, with a(q) and b(q) rounded once to Fraction: (stop, alpha, payoff)."""
+    items = [(c, Fraction(a_coeff(c.norm)), Fraction(b_coeff(c.norm)), Fraction(c.weight)) for c in cands]
+    items.sort(key=lambda item: item[2] / item[1], reverse=True)
+    payoff = Fraction(0)
+    for c, a, b, w in items:
+        if w * a <= left:
+            left -= w * a
+            payoff += w * b
+        else:
+            alpha = left / (w * a)
+            return c, alpha, payoff + alpha * w * b
+    return None, Fraction(0), payoff
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_float_greedy_matches_exact_knapsack(seed):
+    rng = random.Random(seed)
+    g = rng.uniform(12.0, 40.0)
+    x0, x1 = rng.choice([0.0, 1 / g]), rng.choice([1.0, 2.0]) / g
+    cands = sorted(
+        (Candidate(ell, ell ** rng.choice([1, 1, 1, 2]), rng.choice([0, 1, 2, 4]) / g)
+         for ell in sieve_primes(3000) if rng.random() < 0.8),
+        key=lambda c: c.norm,
+    )
+    sol = optimize(TVProblem(x0=x0, x1=x1), cands)
+    left = 1 - Fraction(A0_REAL) * Fraction(x0) - Fraction(A1_COMPLEX) * Fraction(x1)
+    stop, alpha, payoff = _exact_fill(left, cands)
+    assert sol.ell_star_0 is not None and sol.ell_star_0 == stop
+    assert abs(sol.alpha - alpha) <= 1e-12
+    assert abs(sol.sum_b_bound - payoff) <= 1e-12
+
+
+def test_norm_order_is_ratio_order():
+    """b(q)/a(q), rounded once to Fraction, strictly decreases over q <= 10^5."""
+    ratios = [Fraction(b_coeff(q)) / Fraction(a_coeff(q)) for q in range(2, 10**5 + 1)]
+    assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
