@@ -1,0 +1,152 @@
+"""Paired benchmark runs of two commits, summarised into one JSON file.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \
+        --workload scenario-deep --workload invariants-scan --out BENCH_<n>.json
+
+Each commit is unpacked with ``git archive`` into its own directory, and the
+unchanged ``perfbench/run.py`` of that copy runs there once per pair and
+workload, for the ``run_seconds`` that ``BENCHMARK.json`` declares.  Within a
+pair both sides use the same seed; which side runs first alternates from pair
+to pair, so a slow drift of the host does not favour one side.
+
+The output holds, per workload and end-to-end metric, each side's median and
+quartiles, the number of pairs the change won (ties count for neither side),
+the change's median relative to the parent's, and whether the gain rule holds:
+a win in at least nine tenths of the pairs, and medians that differ by more
+than the parent's interquartile range.  It also holds both commits, the seeds
+and every run's result and run record.  It is rewritten after every run, so an
+interrupted session still leaves the runs made so far.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def unpack(rev: str, dest: Path) -> dict:
+    """The tree of rev under dest; returns the commit and the trees the benchmark reads."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return {"rev": rev, "commit": commit, "src_tree": git("rev-parse", f"{commit}:src"),
+            "perfbench_tree": git("rev-parse", f"{commit}:perfbench")}
+
+
+def last_json_line(text: str):
+    for line in reversed(text.splitlines()):
+        try:
+            return json.loads(line)
+        except json.JSONDecodeError:
+            continue
+    return None
+
+
+def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=copy, capture_output=True, text=True,
+    )
+    return {"exit": proc.returncode, "result": last_json_line(proc.stdout),
+            "record": last_json_line(proc.stderr)}
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0] if values else None, "q1": None, "q3": None, "iqr": None}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: both sides' spread over the complete pairs, and the pairwise verdicts."""
+    pairs: dict[int, dict] = {}
+    for run in runs:
+        if run["result"] is not None:
+            pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+    complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        parent = [p["parent"][name]["value"] for p in complete]
+        change = [p["change"][name]["value"] for p in complete]
+        wins = sum(c < p if lower else c > p for p, c in zip(parent, change))
+        before, after = spread(parent), spread(change)
+        entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": len(complete),
+                 "parent": before, "change": after, "change_won_pairs": wins}
+        if complete:
+            entry["change_over_parent"] = after["median"] / before["median"]
+            gap = before["median"] - after["median"] if lower else after["median"] - before["median"]
+            entry["gain_rule_met"] = bool(wins >= 0.9 * len(complete) and before["iqr"] is not None
+                                          and gap > before["iqr"])
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    parser.add_argument("--change", required=True, help="the commit under test")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, default=1001, help="pair i runs seed seed0 + i")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--workdir", help="where the two copies go (default: a new temporary directory)")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench_pairs_"))
+    sides = {side: unpack(rev, workdir / side) for side, rev in (("parent", args.parent), ("change", args.change))}
+    if sides["parent"]["perfbench_tree"] != sides["change"]["perfbench_tree"]:
+        print("bench_pairs: the two commits have different perfbench/ trees", file=sys.stderr)
+        return 2
+    seeds = [args.seed0 + i for i in range(args.pairs)]
+    report = {
+        "command": ["python3", "perfbench/run.py", "--workload", "<workload>", "--seed", "<seed>",
+                    "--seconds", str(bench["run_seconds"])],
+        "parent": sides["parent"],
+        "change": sides["change"],
+        "seconds": bench["run_seconds"],
+        "seeds": seeds,
+        "order": "parent first in even pairs, change first in odd pairs",
+        "workloads": {},
+    }
+    out = Path(args.out)
+    for workload in args.workload:
+        runs: list[dict] = []
+        for i, seed in enumerate(seeds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                run = run_once(workdir / side, workload, seed, bench["run_seconds"])
+                runs.append({"pair": i, "seed": seed, "side": side, **run})
+                result = run["result"] or {}
+                print(f"{workload} pair {i} {side}: exit {run['exit']}, correct {result.get('correct')}, "
+                      f"p50 {result.get('metrics', {}).get('req_p50_ms', {}).get('value')}", file=sys.stderr)
+                report["workloads"][workload] = {
+                    "all_correct": all(r["result"] and r["result"]["correct"] and not r["result"]["failed"]
+                                       for r in runs),
+                    "metrics": summarise(runs, bench["end_to_end"]),
+                    "runs": runs,
+                }
+                out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

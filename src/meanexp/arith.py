@@ -56,14 +56,19 @@ def sieve_primes(limit: int) -> list[int]:
     return primes_between(1, limit)
 
 
-def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes in (lo, hi], ascending: one segment of a segmented sieve,
-    crossed off by the primes up to sqrt(hi)."""
-    flags = bytearray([1]) * (hi - lo)  # flags[i] stands for lo + 1 + i; lo >= 1
+def prime_flags(lo: int, hi: int) -> bytearray:
+    """One segment of a segmented sieve: byte i is 1 when lo + 1 + i is prime,
+    for lo + 1 + i in (lo, hi], lo >= 1; crossed off by the primes up to sqrt(hi)."""
+    flags = bytearray([1]) * (hi - lo)
     for p in primes_between(1, isqrt(hi)) if hi >= 4 else ():
         first = max(p * p, -(-(lo + 1) // p) * p) - lo - 1
         flags[first::p] = bytes(len(range(first, len(flags), p)))
-    return list(compress(range(lo + 1, hi + 1), flags))
+    return flags
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes in (lo, hi], ascending."""
+    return list(compress(range(lo + 1, hi + 1), prime_flags(lo, hi)))
 
 
 def factor(n: int) -> list[int]:

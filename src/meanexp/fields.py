@@ -6,15 +6,29 @@ machinery needs: genus, root discriminant, prime splitting and norm
 enumeration are pure functions of the subfield discriminants, so no ideal
 arithmetic is ever required.  Radicands are kept factored end to end, which
 means ramified-prime enumeration never factors anything.
+
+The fully split primes of a whole range come from a mask, not from one
+Kronecker symbol per prime.  A fundamental discriminant D is the product of
+prime discriminants: q* = +-q = 1 mod 4 for each odd q | D, and a 2-part of
+-4, 8 or -8 when D is even.  So chi_D(ell) is the product of the characters
+chi_{q*}(ell) = (ell/q), which depend only on ell mod q, and chi_{2-part}(ell),
+which depends only on ell mod 8 (Cohen, GTM 138, 1.4 and 5.1).  Over a segment
+of integers, each factor is a cached non-residue pattern of length |q*|,
+rotated to the segment start and tiled; XOR-ing the patterns of one character
+(as one big integer each) marks where it is -1, and the prime flags of the
+segment, less the ramified primes and the marked positions, are the split
+primes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from math import log
+from itertools import compress
+from math import log, prod
 
-from .arith import PrimePower, factor, is_prime, kronecker, sieve_primes
+from .arith import PrimePower, factor, is_prime, kronecker, prime_flags
 from .errors import DegenerateFieldError, DomainError
 
 
@@ -241,17 +255,17 @@ def norms_above(fld: FieldDescriptor, ell: int, split: bool | None = None) -> li
     ramified in all three subfields (only ell = 2) is totally ramified: one
     place of norm ell.
 
-    `split`, when given, pins the splitting of a biquadratic field's prime in
-    place of the Kronecker verdict; ramification, and the splitting in a
-    quadratic field, are always derived.
+    `split`, when given, decides the splitting of an unramified prime (and of
+    a biquadratic prime ramified in two subfields) in place of the Kronecker
+    verdict; ramification is always derived.
     """
     if fld.degree == 2:
-        st = splitting_type(fld, ell)
-        if st is SplitType.SPLIT:
-            return [(ell, 2)]
-        if st is SplitType.INERT:
-            return [(ell * ell, 1)]
-        return [(ell, 1)]
+        d = fld.subfield_discs[0]
+        if d % ell == 0:
+            return [(ell, 1)]
+        if split is None:
+            split = kronecker(d, ell) == 1
+        return [(ell, 2)] if split else [(ell * ell, 1)]
     if fld.degree != 4 or len(fld.subfield_discs) != 3:
         raise DomainError("norms_above supports quadratic and biquadratic fields only")
     discs = fld.subfield_discs
@@ -270,17 +284,70 @@ def norms_above(fld: FieldDescriptor, ell: int, split: bool | None = None) -> li
     raise DomainError(f"prime {ell} ramifies in exactly one quadratic subfield")
 
 
-def enumerate_norms(fld: FieldDescriptor, bound: int) -> list[tuple[int, int]]:
-    """All (norm, count) pairs with norm <= bound, sorted by norm."""
-    if bound < 2:
+# odd prime discriminants up to this size get a cached pattern (at most 64 KiB,
+# and at most 256 of them are kept); a character with a larger one is
+# evaluated per surviving prime instead
+_PATTERN_LIMIT = 1 << 16
+
+
+@functools.lru_cache(maxsize=256)
+def _nonresidue_pattern(d: int) -> bytes:
+    """Byte r is 1 when chi_d(r) = -1, for 0 <= r < |d|, d a prime discriminant.
+
+    For odd d = +-q, chi_d(r) is the Legendre symbol (r/q), so the pattern is
+    the complement of the squares mod q; for d = -4, 8, -8 it is read off the
+    Kronecker symbol at the odd residues.
+    """
+    m = abs(d)
+    if m % 2 == 0:
+        return bytes(r % 2 == 1 and kronecker(d, r) == -1 for r in range(m))
+    pattern = bytearray([1]) * m
+    pattern[0] = 0
+    for r in range(1, m // 2 + 1):
+        pattern[r * r % m] = 0
+    return bytes(pattern)
+
+
+def _prime_discriminants(fld: FieldDescriptor, D: int) -> list[int]:
+    """The prime discriminants whose product is the subfield discriminant D."""
+    odd = [q if q % 4 == 1 else -q for q in fld.abs_disc_factored if q != 2 and D % q == 0]
+    two_part = D // prod(odd)
+    return odd if two_part == 1 else odd + [two_part]
+
+
+def split_primes_between(fld: FieldDescriptor, lo: int, hi: int) -> list[int]:
+    """The primes in (lo, hi], lo >= 1, that are prime to the discriminant and
+    at which every independent character is +1: chi_D1 and chi_D2 for a
+    biquadratic field (chi_D3 is their product there), chi_D for a quadratic
+    one.  These are the primes `norms_above` gives (ell, 4), resp. (ell, 2).
+    """
+    n = hi - lo
+    if n <= 0:
         return []
-    out = []
-    for ell in sieve_primes(bound):
-        for norm, count in norms_above(fld, ell):
-            if norm <= bound:
-                out.append((norm, count))
-    out.sort()
-    return out
+    flags = prime_flags(lo, hi)
+    for q in fld.abs_disc_factored:
+        if lo < q <= hi:
+            flags[q - lo - 1] = 0
+    negative = 0  # byte i is 1 when some character is -1 at lo + 1 + i
+    per_prime = []
+    for D in fld.subfield_discs[:2]:
+        parts = _prime_discriminants(fld, D)
+        if max(map(abs, parts), default=0) > _PATTERN_LIMIT:
+            per_prime.append(D)
+            continue
+        chi_negative = 0
+        for d in parts:
+            pattern = _nonresidue_pattern(d)
+            m = len(pattern)
+            shift = (lo + 1) % m
+            tiled = (pattern[shift:] + pattern[:shift]) * (n // m + 1)
+            chi_negative ^= int.from_bytes(memoryview(tiled)[:n], "big")
+        negative |= chi_negative
+    split = (int.from_bytes(flags, "big") & ~negative).to_bytes(n, "big")
+    primes = list(compress(range(lo + 1, hi + 1), split))
+    for D in per_prime:
+        primes = [ell for ell in primes if kronecker(D, ell) == 1]
+    return primes
 
 
 def ramified_place_count(base: FieldDescriptor | None, extension_radicand, p: int = 2) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Any
 
-from .arith import PrimePower, factor, is_prime, primes_between, sieve_primes, tame_local_sum
+from .arith import PrimePower, factor, is_prime, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
 from .fields import FieldDescriptor, field_from_spec, quadratic_field, splitting_type
 from . import fields, tv
@@ -224,7 +224,8 @@ def parse_scenario(data: dict) -> Scenario:
     _expect(isinstance(ray, dict), "ray_sigma must be an object", "ray_sigma")
     ray_norms = _as_list(ray.get("norms", []), "ray_sigma.norms",
                          lambda q: _is_prime_power(q) and q > 2 and q % p != 0, "prime powers > 2 coprime to p")
-    ray_split = bool(ray.get("split_completely", False))
+    ray_split = ray.get("split_completely", False)
+    _expect(isinstance(ray_split, bool), "must be true or false", "ray_sigma.split_completely")
 
     published_reference = data.get("published_reference", {})
     _expect(isinstance(published_reference, dict), "published_reference must be an object", "published_reference")
@@ -268,24 +269,24 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(data)
 
 
-def _derived_sigma_fixed(sc: Scenario) -> list[tuple[int, int, str]]:
-    """(norm, count, source) fixed entries derived from the T declaration."""
-    out = []
-    for ell in sorted(sc.t_dec):
-        out.append((ell, 2, "T.dec"))
-    for ell in sorted(sc.t_inert):
-        out.append((ell * ell, 1, "T.inert"))
-    return out
+def _derived_sigma_fixed(sc: Scenario) -> list[tuple[int, int]]:
+    """(norm, count) fixed entries derived from the T declaration."""
+    return [(ell, 2) for ell in sorted(sc.t_dec)] + [(ell * ell, 1) for ell in sorted(sc.t_inert)]
 
 
-def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float, g: float) -> CandidateInfo | None:
-    """Cheapest admissible norm for one prime, honoring pins and exclusions."""
+def _candidate_for_prime(
+    sc: Scenario, ell: int, cap_num: float, g: float, split: bool | None = None
+) -> CandidateInfo | None:
+    """Cheapest admissible norm for one prime, honoring pins and exclusions.
+
+    `split` is the splitting verdict when the caller already knows it; a
+    splitting pin overrides it, and without either `norms_above` derives it."""
     if ell in sc.capacity_overrides:
         norm, weight = sc.capacity_overrides[ell]
         return CandidateInfo(ell, norm, weight / g, weight_num=weight, kind="override", pinned=True)
 
     pin = sc.splitting_overrides.get(ell)
-    places = fields.norms_above(sc.field, ell, None if pin is None else pin == "split")
+    places = fields.norms_above(sc.field, ell, split if pin is None else pin == "split")
     norm, count = places[0]
     m = 1 if norm == ell else 2
     eps = sc.eps_caps.get(ell, 0.0)
@@ -316,11 +317,29 @@ def _candidate_for_prime(sc: Scenario, ell: int, cap_num: float, g: float) -> Ca
     return CandidateInfo(ell, norm, weight / g, weight_num=weight, kind=kind, pinned=pin is not None)
 
 
-def _primes_from(first: int, limit: int) -> Iterator[int]:
-    """Primes up to limit, sieved in doubling segments (1, first], (first, 2 first], ..."""
-    lo, hi = 1, first
+def _readable_primes(sc: Scenario, limit: int) -> Iterator[tuple[int, bool | None]]:
+    """(prime, split) for each prime up to limit whose candidate can have a
+    norm <= limit, in doubling segments (1, norm_bound], (norm_bound,
+    2 norm_bound], ...
+
+    Above isqrt(limit) an unramified prime that is not fully split has norm
+    ell^2 > limit, so a segment visits every prime up to isqrt(limit), the
+    primes the scenario names (ramified, in T, pinned, capped, overridden, or
+    under an excluded norm) and the fully split primes of
+    `fields.split_primes_between`.  `split` is that mask's verdict for an
+    unramified prime and None for a ramified one."""
+    ramified = sc.field.abs_disc_factored
+    named = set(ramified).union(sc.t_dec, sc.t_inert, sc.splitting_overrides, sc.eps_caps,
+                                sc.capacity_overrides, (factor(q)[0] for q in sc.excluded))
+    root = math.isqrt(limit)
+    lo, hi = 1, sc.norm_bound
     while lo < limit:
-        yield from sieve_primes(hi) if lo == 1 else primes_between(lo, hi)
+        split = fields.split_primes_between(sc.field, lo, hi)
+        split_set = set(split)
+        small = sieve_primes(min(hi, root)) if lo < root else []
+        others = {ell for ell in named.union(small) if lo < ell <= hi} - split_set
+        for ell in heapq.merge(split, sorted(others)):
+            yield ell, None if ell in ramified else ell in split_set
         lo, hi = hi, min(2 * hi, limit)
 
 
@@ -335,11 +354,11 @@ def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo]:
     cap_num = sc.x0_num + 2 * sc.x1_num
     g = sc.genus
     limit = max(sc.norm_bound, _MAX_NORM_BOUND)
-    overrides = sorted(q for q in sc.capacity_overrides if q <= limit)
-    primes = _primes_from(sc.norm_bound, limit) if cap_num > 0 else overrides
+    overrides = [(q, None) for q in sorted(sc.capacity_overrides) if q <= limit]
+    primes = _readable_primes(sc, limit) if cap_num > 0 else overrides
     waiting: list[tuple[int, CandidateInfo]] = []
-    for ell in primes:
-        cand = None if ell in closed else _candidate_for_prime(sc, ell, cap_num, g)
+    for ell, split in primes:
+        cand = None if ell in closed else _candidate_for_prime(sc, ell, cap_num, g, split)
         if cand is not None and cand.norm <= limit:
             heapq.heappush(waiting, (cand.norm, cand))
         while waiting and waiting[0][0] <= ell:
@@ -418,8 +437,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
     }
 
     # --- fixed density set Sigma
-    derived_sigma = _derived_sigma_fixed(sc)
-    derived_pairs = [(q, float(num)) for q, num, _src in derived_sigma]
+    derived_pairs = [(q, float(num)) for q, num in _derived_sigma_fixed(sc)]
     if sc.sigma_fixed_pin is not None:
         sigma_pairs = sc.sigma_fixed_pin
         sigma_matches = sorted(sigma_pairs) == sorted(derived_pairs)

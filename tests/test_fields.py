@@ -3,23 +3,42 @@ import random
 
 import pytest
 
+from meanexp.arith import kronecker, sieve_primes
 from meanexp.errors import DegenerateFieldError, DomainError
 from meanexp.fields import (
     FieldDescriptor,
     SplitType,
     biquadratic_field,
     disc_with_tame_conductor,
-    enumerate_norms,
     field_from_spec,
     fundamental_discriminant,
     log_disc_with_tame_conductor,
     norms_above,
     quadratic_field,
     ramified_place_count,
+    split_primes_between,
     splitting_type,
 )
 
 EX1_D1 = [2, 2, 2, 5, 7, 11, 13, 17, 19, 23]
+PACKAGED = ("example1", "example2", "example3", "example4", "example5", "intro")
+
+
+def _packaged_field(name):
+    import json
+    from importlib import resources
+
+    spec = json.loads(resources.files("meanexp").joinpath("scenarios", f"{name}.json").read_text())["field"]
+    return field_from_spec(spec)
+
+
+def enumerate_norms(fld, bound):
+    """All (norm, count) pairs with norm <= bound, sorted by norm: the
+    reference that classifies every prime up to the bound with norms_above."""
+    if bound < 2:
+        return []
+    return sorted((norm, count) for ell in sieve_primes(bound) for norm, count in norms_above(fld, ell)
+                  if norm <= bound)
 
 
 def test_fundamental_discriminant():
@@ -175,15 +194,9 @@ def test_field_from_spec():
 
 
 def test_norms_above_two_characters_match_three():
-    import json
-    from importlib import resources
-
-    from meanexp.arith import kronecker, sieve_primes
-
     primes = sieve_primes(10**5)
-    for name in ("example1", "example2", "example3", "example4", "example5", "intro"):
-        spec = json.loads(resources.files("meanexp").joinpath("scenarios", f"{name}.json").read_text())["field"]
-        fld = field_from_spec(spec)
+    for name in PACKAGED:
+        fld = _packaged_field(name)
         for ell in primes:
             if any(D % ell == 0 for D in fld.subfield_discs):
                 continue
@@ -202,15 +215,86 @@ def _forced_split_table(fld, ell, forced_split):
 
 
 def test_norms_above_split_pin_matches_forced_split_table():
-    import json
-    from importlib import resources
-
-    from meanexp.arith import sieve_primes
-
-    for name in ("example1", "example2", "example3", "example4", "example5", "intro"):
-        spec = json.loads(resources.files("meanexp").joinpath("scenarios", f"{name}.json").read_text())["field"]
-        fld = field_from_spec(spec)
+    for name in PACKAGED:
+        fld = _packaged_field(name)
         assert fld.degree == 4
         for ell in sieve_primes(1999):
             for split in (True, False):
                 assert norms_above(fld, ell, split) == _forced_split_table(fld, ell, split), (name, ell, split)
+
+
+def test_norms_above_quadratic_split_pin():
+    f = quadratic_field([-1, 5, 7, 11, 13])  # D = -20020: 3 is inert, 5 ramified
+    assert norms_above(f, 3) == [(9, 1)]
+    assert norms_above(f, 3, True) == [(3, 2)]
+    assert norms_above(f, 3, False) == [(9, 1)]
+    assert norms_above(f, 5, True) == norms_above(f, 5, False) == [(5, 1)]  # ramification is derived
+
+
+def _three_character_split(fld, primes):
+    """The fully split primes by the definition: prime to the discriminant,
+    and every quadratic subfield's Kronecker character +1."""
+    return [ell for ell in primes
+            if fld.abs_disc % ell and all(kronecker(D, ell) == 1 for D in fld.subfield_discs)]
+
+
+# quadratic radicands whose fundamental discriminants are 1 mod 4, or have
+# 2-part -4, 8 or -8, of both signs
+QUADRATIC_RADICANDS = [
+    5 * 7 * 11, -3, -7 * 11 * 13, 13 * 17,  # D = 1 mod 4
+    -1, 3 * 5, -5 * 7 * 11 * 13, 3 * 7,  # 2-part -4
+    2, 2 * 5 * 13, -2 * 3, -2 * 7 * 17,  # 2-part 8
+    -2, -2 * 5, 2 * 3, 2 * 3 * 5 * 11,  # 2-part -8
+]
+SPLIT_CASES = [(name, _packaged_field(name)) for name in PACKAGED] + [
+    (str(r), quadratic_field(r)) for r in QUADRATIC_RADICANDS
+]
+
+
+@pytest.mark.parametrize("name, fld", SPLIT_CASES, ids=[name for name, _ in SPLIT_CASES])
+def test_split_primes_between_matches_three_characters(name, fld):
+    primes = sieve_primes(10**5)
+    want = _three_character_split(fld, primes)
+    assert split_primes_between(fld, 1, 10**5) == want
+    if fld.degree == 4:
+        assert all(norms_above(fld, ell) == [(ell, 4)] for ell in want)
+    else:
+        assert all(norms_above(fld, ell) == [(ell, 2)] for ell in want)
+
+
+def test_quadratic_radicands_cover_every_two_part_and_sign():
+    seen = set()
+    for r in QUADRATIC_RADICANDS:
+        D = quadratic_field(r).subfield_discs[0]
+        m = D
+        while m % 2 == 0:
+            m //= 2
+        odd_part = m if m % 4 == 1 else -m  # a product of prime discriminants is 1 mod 4
+        seen.add((D // odd_part, D > 0))
+    assert seen == {(t, sign) for t in (1, -4, 8, -8) for sign in (True, False)}
+
+
+@pytest.mark.parametrize("name", PACKAGED + ("-2", "-5005"))
+def test_split_primes_between_any_segment_start(name):
+    fld = _packaged_field(name) if name in PACKAGED else quadratic_field(int(name))
+    primes = sieve_primes(30_000)
+    want = _three_character_split(fld, primes)
+    # every start residue mod 8, starts aligned to no odd prime of the
+    # discriminant, and segments shorter than the longest pattern
+    for lo in list(range(10_001, 10_009)) + [9_973 * 2 + 1, 1]:
+        for length in (1, 5, 97, 1_000, 19_999):
+            hi = min(lo + length, 30_000)
+            assert split_primes_between(fld, lo, hi) == [ell for ell in want if lo < ell <= hi], (lo, hi)
+    # consecutive segments reassemble the whole list
+    bounds = [1, 2, 3, 10, 100, 151, 1_000, 4_097, 12_345, 30_000]
+    pieces = [ell for lo, hi in zip(bounds, bounds[1:]) for ell in split_primes_between(fld, lo, hi)]
+    assert pieces == want
+
+
+def test_split_primes_between_large_discriminant_prime():
+    # a prime of the discriminant past the pattern cache is evaluated per prime
+    for r in (10**9 + 7, -2 * (10**9 + 7), 3 * 65_537):
+        fld = quadratic_field(r)
+        want = _three_character_split(fld, sieve_primes(20_000))
+        assert split_primes_between(fld, 1, 20_000) == want
+        assert split_primes_between(fld, 7_001, 20_000) == [ell for ell in want if ell > 7_001]

@@ -286,7 +286,7 @@ def _reference_fill(data: dict) -> dict:
     g = sc.genus
     pairs = sc.sigma_fixed_pin
     if pairs is None:
-        pairs = [(q, float(num)) for q, num, _src in _derived_sigma_fixed(sc)]
+        pairs = [(q, float(num)) for q, num in _derived_sigma_fixed(sc)]
     problem = tv.TVProblem(
         x0=sc.x0_num / g, x1=sc.x1_num / g, fixed=tuple((PrimePower.from_value(q), num / g) for q, num in pairs)
     )
@@ -345,18 +345,75 @@ def _minimal_with_pins() -> dict:
     return data
 
 
+def _deep_with_pins_above_root() -> dict:
+    """example1 at x1_num 0.3 with a pin of each kind on primes past
+    isqrt(_MAX_NORM_BOUND) = 1414, where the stream visits only the fully
+    split primes and the primes the scenario names; ell_star_0 lies past them.
+
+    Fully split: 1423, 1429, 1453, 1459.  Not fully split: 1427, 1433."""
+    data = _deep("example1", 0.3)
+    data["T"] = {"dec": [1459], "inert": []}
+    data["tv"].update(
+        sigma_fixed=[{"q": 1459, "num": 0.5}],  # the derived 2 places would exceed the cap 0.6
+        splitting_overrides={"1427": "split", "1423": "inert"},
+        eps_caps=[{"prime": 2, "eps_num": 2}, {"prime": 1429, "eps_num": 0.6}],
+        excluded=[1453],
+        capacity_overrides=[{"prime": 1433, "norm": 1433, "weight_num": 1}],
+    )
+    return data
+
+
+def _quadratic_with_pins() -> dict:
+    """Q(sqrt(-5005)), D = -20020: 3 and 19 are inert, 17 splits; the pins swap them."""
+    return {
+        "version": 1,
+        "label": "quadratic-pins",
+        "p": 2,
+        "field": {"type": "quadratic", "radicand_factors": [-1, 5, 7, 11, 13]},
+        "g_override": 40,
+        "tv": {"x0_num": 0, "x1_num": 0.3, "norm_bound": 64,
+               "splitting_overrides": {"3": "split", "17": "inert", "19": "split"}},
+    }
+
+
 DEEP_CASES = [(base, x1) for base in ("example1", "example2", "example3", "example4", "intro") for x1 in (2, 1, 0.6)]
 
 
 @pytest.mark.parametrize(
     "data",
-    [_deep(base, x1) for base, x1 in DEEP_CASES] + [_minimal_with_pins()],
-    ids=[f"{base}-{x1}" for base, x1 in DEEP_CASES] + ["minimal-pins"],
+    [_deep(base, x1) for base, x1 in DEEP_CASES]
+    + [_minimal_with_pins(), _deep_with_pins_above_root(), _quadratic_with_pins()],
+    ids=[f"{base}-{x1}" for base, x1 in DEEP_CASES]
+    + ["minimal-pins", "example1-pins-above-root", "quadratic-pins"],
 )
 def test_stream_matches_enumerate_then_double(data):
     want = _reference_fill(data)
     got = run_scenario_data(copy.deepcopy(data))["tv"]
     assert {key: got[key] for key in want} == want
+
+
+def test_pins_above_root_reach_the_fill():
+    report = run_scenario_data(_deep_with_pins_above_root())["tv"]
+    assert report["ell_star_0"] > 1459
+    by_prime = {row["prime"]: row for row in report["prefix"]}
+    assert by_prime[1427]["norm"] == 1427 and by_prime[1427]["kind"] == "split_full"  # split pin
+    assert by_prime[1433]["kind"] == "override"
+    for ell in (1423, 1429, 1453, 1459):  # inert pin, capped out, excluded, in T
+        assert ell not in by_prime
+    assert by_prime[1471]["kind"] == "split_full"  # an unpinned split prime in between
+
+
+def test_quadratic_splitting_pins_apply():
+    data = _quadratic_with_pins()
+    pinned = run_scenario_data(copy.deepcopy(data))["tv"]
+    rows = {row["prime"]: row for row in pinned["prefix"]}
+    assert rows[3]["norm"] == 3 and rows[3]["weight_num"] == 0.6 and rows[3]["pinned"]
+    assert rows[19]["norm"] == 19 and rows[19]["pinned"]
+    assert rows[17]["norm"] == 289 and rows[17]["pinned"]
+    del data["tv"]["splitting_overrides"]
+    unpinned = run_scenario_data(data)["tv"]
+    assert {row["prime"]: row["norm"] for row in unpinned["prefix"]}[3] == 9
+    assert pinned["ell_star_0"] != unpinned["ell_star_0"]
 
 
 def test_candidate_stream_is_ascending_and_matches_prefix():
@@ -400,6 +457,7 @@ NAN, INF = float("nan"), float("inf")
         ("tv", "excluded", [1], "tv.excluded[0]"),
         ("tv", "sigma_fixed", [{"q": 6, "num": 1}], "tv.sigma_fixed[0]"),
         (None, "ray_sigma", {"norms": [4]}, "ray_sigma.norms[0]"),
+        (None, "ray_sigma", {"norms": [7], "split_completely": "no"}, "ray_sigma.split_completely"),
     ],
 )
 def test_malformed_input_names_its_location(section, key, value, location):
