@@ -71,6 +71,19 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return list(compress(range(lo + 1, hi + 1), prime_flags(lo, hi)))
 
 
+def _iroot(n: int, m: int) -> int:
+    """The integer m-th root of n >= 1: the largest r with r^m <= n.
+
+    Newton's iteration in integers: started above the root, at
+    2^ceil(bits/m), it descends strictly until it reaches the root."""
+    r = 1 << -(-n.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
 def factor(n: int) -> list[int]:
     """Prime factors of |n| with multiplicity, ascending, by trial division.
 
@@ -183,12 +196,15 @@ class PrimePower:
 
     @classmethod
     def from_value(cls, q: int) -> "PrimePower":
+        """q = ell^m exactly when, for some m <= log2 q, the integer m-th
+        root r of q has r^m = q and r is prime; no trial division."""
         if q < 2:
             raise DomainError(f"{q} is not a prime power")
-        primes = factor(q)
-        if primes[0] != primes[-1]:
-            raise DomainError("not a prime power")
-        return cls(primes[0], len(primes))
+        for m in range(1, q.bit_length()):
+            r = _iroot(q, m)
+            if r**m == q and is_prime(r):
+                return cls(r, m)
+        raise DomainError(f"{q} is not a prime power")
 
     def __int__(self) -> int:
         return self.value

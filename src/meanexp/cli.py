@@ -15,7 +15,6 @@ import sys
 from importlib import resources
 
 from . import oracle, propgroups, scenario, towers
-from .arith import factor
 from .errors import (
     InfeasibleProblemError,
     InternalInconsistencyError,
@@ -172,13 +171,9 @@ def _cmd_propgroup(args) -> dict:
 
 def _cmd_oracle(args) -> dict:
     D = args.disc
-    h = oracle.class_number(D)
-    structures = {}
-    means = {}
-    for p in sorted(set(factor(h))):
-        shape = oracle.class_group_structure(D, p)
-        structures[str(p)] = shape.to_json()
-        means[str(p)] = float(mean_exponent(shape))
+    h, shapes = oracle.class_group(D)
+    structures = {str(p): shape.to_json() for p, shape in shapes.items()}
+    means = {str(p): float(mean_exponent(shape)) for p, shape in shapes.items()}
     return {"disc": D, "h": h, "structures": structures, "mean_exponents": means}
 
 

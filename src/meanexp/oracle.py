@@ -5,17 +5,24 @@ reduced positive-definite binary quadratic forms enumerate the classes, and
 classical Dirichlet composition gives the group law.  Nothing in this module
 shares code with the bound machinery it is used to cross-check.
 
+The structure takes one enumeration of the forms (class_group): for each
+p | h = p^k * m, the m-th powers of the forms generate the Sylow
+p-subgroup, which is closed coset by coset until it has p^k elements, and
+its p-power map then gives the torsion counts |S[p^j]| that fix the
+elementary divisors.  Every count is checked to be an exact power of p.
+
 Scale limits are deliberate: |D| up to about 10^6, class numbers in the
-low thousands.  Composition is the plain textbook algorithm; no NUCOMP.
+low thousands.  Composition is plain Dirichlet composition with reduction;
+no NUCOMP, and no baby-step giant-step.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .arith import factor
 from .errors import DomainError, InternalInconsistencyError
 from .groups import AbelianPShape
 
@@ -151,45 +158,116 @@ def ambiguous_class_count(D: int) -> int:
     return sum(1 for f in reduced_forms(D) if f.b == 0 or f.a == f.b or f.a == f.c)
 
 
-def class_group_structure(D: int, p: int) -> AbelianPShape:
-    """Elementary divisors of the p-part of the form class group.
+def _p_log(count: int, p: int) -> int:
+    """k with count = p^k, exactly; anything else means a broken group law."""
+    k = 0
+    rest = count
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    if rest != 1:
+        raise InternalInconsistencyError(
+            f"torsion count {count} is not a power of {p}; composition is broken"
+        )
+    return k
 
-    Exponent filtering: the count of classes killed by p^j is p to the
-    number of elementary divisors of exponent >= 1 clipped at j, summed;
-    successive-quotient logs of those counts peel off the divisor multiset.
+
+def _sylow_shape(forms: list[QuadForm], D: int, p: int, k: int) -> AbelianPShape:
+    """Elementary divisors of the Sylow p-subgroup S of order p^k.
+
+    With h = p^k * m, f -> f^m maps the class group onto S.  S is closed
+    under those projections one generator g at a time: the group generated
+    by S and g is the union of the cosets S*g^i for i below the first r with
+    g^r = z in S, and the closure stops as soon as |S| = p^k.  The p-th
+    power of a new element s*g^i is s^p * z^q * g^t with i*p = q*r + t, an
+    element already listed, so the map x -> x^p costs one composition per
+    element.  Iterating it gives each element's order p^j, the counts
+    |S[p^j]| = p^(sum_i min(e_i, j)), and from their successive quotients
+    the divisor multiset.
     """
-    _check_disc(D)
-    if abs(D) > 10**6:
-        raise DomainError("oracle is desk-scale only: |D| <= 10^6")
-    forms = reduced_forms(D)
-    h = len(forms)
-    if h % p != 0:
-        return AbelianPShape(p=p, exps=())
+    order = p**k
+    m = len(forms) // order
     e = principal_form(D)
-    counts = [1]
-    j = 0
-    while True:
-        j += 1
-        killed = sum(1 for f in forms if form_pow(f, p**j, D) == e)
-        klog = round(math.log(killed) / math.log(p))
-        if p**klog != killed:
-            raise InternalInconsistencyError(
-                f"torsion count {killed} at p^{j} is not a p-power; composition is broken"
-            )
-        counts.append(killed)
-        if killed == counts[-2]:
-            counts.pop()
+    p_th = {e: e}  # the S built so far, each element mapped to its p-th power
+    for f in forms:
+        if len(p_th) == order:
             break
-    logs = [round(math.log(c) / math.log(p)) if c > 1 else 0 for c in counts]
+        g = form_pow(f, m, D)
+        if g in p_th:
+            continue
+        base = list(p_th)
+        cosets = [dict(zip(base, base))]  # cosets[i][s] = s * g^i
+        power = g
+        while power not in cosets[0]:
+            if len(p_th) + len(base) > order:
+                raise InternalInconsistencyError(
+                    f"Sylow {p}-subgroup of {D} outgrows p^{k}; composition is broken"
+                )
+            coset = {s: compose(s, power) for s in base}
+            p_th.update(dict.fromkeys(coset.values()))  # p-th powers set below
+            cosets.append(coset)
+            if len(p_th) != len(base) * len(cosets):
+                raise InternalInconsistencyError(f"cosets in the Sylow {p}-subgroup of {D} overlap")
+            power = compose(power, g)
+        r, z_powers = len(cosets), [e]
+        for i in range(1, r):
+            q, t = divmod(i * p, r)
+            while len(z_powers) <= q:
+                z_powers.append(compose(z_powers[-1], power))
+            for s, x in cosets[i].items():
+                u = p_th[s] if z_powers[q] == e else compose(p_th[s], z_powers[q])
+                if u not in cosets[t]:
+                    raise InternalInconsistencyError(
+                        f"a p-th power leaves the Sylow {p}-subgroup of {D}; composition is broken"
+                    )
+                p_th[x] = cosets[t][u]
+    if len(p_th) != order:
+        raise InternalInconsistencyError(
+            f"Sylow {p}-subgroup of {D} has {len(p_th)} elements, expected p^{k}"
+        )
+    level = {e: 0}  # x -> j with x of order p^j
+    for x in p_th:
+        chain = []
+        while x not in level:
+            chain.append(x)
+            x = p_th[x]
+            if len(chain) > k:
+                raise InternalInconsistencyError(
+                    f"an element of the Sylow {p}-subgroup of {D} has order above p^{k}"
+                )
+        j = level[x]
+        for y in reversed(chain):
+            j += 1
+            level[y] = j
+    logs = [_p_log(sum(1 for lv in level.values() if lv <= j), p)
+            for j in range(max(level.values()) + 1)]
     at_least = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
     exps = []
     for j, cnt in enumerate(at_least):
         nxt = at_least[j + 1] if j + 1 < len(at_least) else 0
         exps.extend([j + 1] * (cnt - nxt))
     shape = AbelianPShape(p=p, exps=tuple(exps))
-    if sum(shape.exps) != logs[-1]:
+    if sum(shape.exps) != k:
         raise InternalInconsistencyError("structure does not multiply up to the p-part")
     return shape
+
+
+def class_group(D: int) -> tuple[int, dict[int, AbelianPShape]]:
+    """h(D) and the shape of the p-part for every prime p | h, from one
+    enumeration of the reduced forms."""
+    _check_disc(D)
+    if abs(D) > 10**6:
+        raise DomainError("oracle is desk-scale only: |D| <= 10^6")
+    forms = reduced_forms(D)
+    h = len(forms)
+    primes = factor(h)
+    return h, {p: _sylow_shape(forms, D, p, primes.count(p)) for p in sorted(set(primes))}
+
+
+def class_group_structure(D: int, p: int) -> AbelianPShape:
+    """Elementary divisors of the p-part of the form class group."""
+    h, structures = class_group(D)
+    return structures.get(p, AbelianPShape(p=p, exps=()))
 
 
 def random_law_check(D: int, trials: int, rng: random.Random) -> None:

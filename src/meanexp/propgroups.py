@@ -308,6 +308,26 @@ def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
     Uses b_i ~ V_i/i with V from the dominant-root expansion; the Moebius
     corrections are exponentially small and folded in via log1p where they
     are representable, giving relative error well under 1e-6 for i >= 32.
+
+    Only the top K = ceil(45/log alpha) + 2 terms, max(lo, hi - K) <= i < hi,
+    are summed; the rest of the window lies below float precision.  With
+    integer d and r, alpha > 1 forces alpha >= 2, and 0 <= beta <= alpha, so
+    s_t = alpha^t + beta^t is in [alpha^t, 2 alpha^t].  The ranks are
+    nonnegative, and V_i = sum_{j | i} j*b_j = sum_{p^k | i} p^k s_{i/p^k}, so
+
+        alpha^i <= V_i <= 2 alpha^i + 4i alpha^(i/2),      i*b_i <= V_i,
+        H*b_H >= V_H - sum_{j <= H/2} V_j >= alpha^H / 2     (H = hi - 1),
+
+    the last because alpha^H >= alpha^(K+1) >= e^45 alpha^3 when anything is
+    dropped.  Summing over the dropped indices i < N = hi - K (N >= 2):
+
+        sum_{lo <= i < N} b_i <= (16 (H/N) alpha^-K + 28 H alpha^(N/2 - H)) b_H
+                              <= 620 e^-45 b_H < 2^-55 b_H,
+
+    using alpha^K >= e^45 alpha^2, H/N <= (K + 1)/2 and, for alpha >= 2,
+    (K + 1)/alpha^2 <= 17.2 (the two terms give 138 and 482).  The dropped
+    terms therefore move the log-sum by less than 2^-55, while the log-sum
+    exceeds log b_H > 40, where one ulp is 2^-47 or more.
     """
     if not params.quadratic:
         raise InapplicableError("float regime needs quadratic relations")
@@ -343,25 +363,28 @@ def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
                     out += math.log1p(math.exp(delta))
         return out
 
+    first = max(lo, hi - (math.ceil(45 / log_alpha) + 2))
     # the Moebius corrections V_{i/e} shrink like alpha^(-i/2); the divisor
-    # scan stops at the last index top where they can still reach float
-    # underflow range, and the sieve runs only that far.  The strides visit
-    # e in ascending order, so each list holds i's divisors ascending.
-    top = 0
+    # table covers the summed indices up to the last one, top, where they
+    # can still reach float underflow range, and is skipped when there are
+    # none.  The strides visit e in ascending order, so each list holds i's
+    # divisors ascending.
+    top = first - 1
     while top + 1 < hi and (top + 1 - (top + 1) // 2) * log_alpha < 750:
         top += 1
-    mu = _moebius_table(top)
-    divisors: list[list[int]] = [[] for _ in range(lo, top + 1)]
-    for e in range(2, top + 1):
-        if mu[e]:
-            for i in range(-(-lo // e) * e, top + 1, e):
-                divisors[i - lo].append(e)
+    divisors: list[list[int]] = [[] for _ in range(first, top + 1)]
+    if divisors:
+        mu = _moebius_table(top)
+        for e in range(2, top + 1):
+            if mu[e]:
+                for i in range(-(-first // e) * e, top + 1, e):
+                    divisors[i - first].append(e)
 
     terms = []
-    for i in range(lo, hi):
+    for i in range(first, hi):
         lv = log_V(i)
         corr = 0.0
-        for e in divisors[i - lo] if i <= top else ():
+        for e in divisors[i - first] if i <= top else ():
             delta = log_V(i // e) - lv
             if delta > -700:
                 corr += mu[e] * math.exp(delta)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Any
 
-from .arith import PrimePower, factor, is_prime, sieve_primes, tame_local_sum
+from .arith import PrimePower, is_prime, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
 from .fields import FieldDescriptor, field_from_spec, quadratic_field, splitting_type
 from . import fields, tv
@@ -50,7 +50,13 @@ def _is_prime(v) -> bool:
 
 
 def _is_prime_power(v) -> bool:
-    return _is_int(v) and v >= 2 and len(set(factor(v))) == 1
+    if not _is_int(v):
+        return False
+    try:
+        PrimePower.from_value(v)
+    except DomainError:
+        return False
+    return True
 
 
 def _optional_number(data: dict, key: str, positive: bool = False) -> float | None:
@@ -330,7 +336,7 @@ def _readable_primes(sc: Scenario, limit: int) -> Iterator[tuple[int, bool | Non
     unramified prime and None for a ramified one."""
     ramified = sc.field.abs_disc_factored
     named = set(ramified).union(sc.t_dec, sc.t_inert, sc.splitting_overrides, sc.eps_caps,
-                                sc.capacity_overrides, (factor(q)[0] for q in sc.excluded))
+                                sc.capacity_overrides, (PrimePower.from_value(q).ell for q in sc.excluded))
     root = math.isqrt(limit)
     lo, hi = 1, sc.norm_bound
     while lo < limit:

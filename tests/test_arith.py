@@ -128,6 +128,28 @@ def test_prime_power():
             PrimePower.from_value(q)
 
 
+def test_prime_power_from_value_needs_no_trial_division():
+    # exact integer roots and Miller-Rabin: each of these would take minutes
+    # by trial division up to sqrt(q)
+    assert PrimePower.from_value(2**61 - 1) == PrimePower(2**61 - 1, 1)
+    assert PrimePower.from_value(3**40) == PrimePower(3, 40)
+    assert PrimePower.from_value((2**61 - 1) ** 3) == PrimePower(2**61 - 1, 3)
+    assert PrimePower.from_value(2**64) == PrimePower(2, 64)
+    for q in ((2**31 - 1) * (2**61 - 1), 3 * (2**61 - 1) ** 2, 0, -8):
+        with pytest.raises(DomainError):
+            PrimePower.from_value(q)
+
+
+def test_prime_power_from_value_matches_factor():
+    for q in range(2, 5000):
+        primes = factor(q)
+        if primes[0] == primes[-1]:
+            assert PrimePower.from_value(q) == PrimePower(primes[0], len(primes)), q
+        else:
+            with pytest.raises(DomainError):
+                PrimePower.from_value(q)
+
+
 def test_factor():
     assert factor(1) == factor(-1) == []
     assert factor(360) == [2, 2, 2, 3, 3, 5]

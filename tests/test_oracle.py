@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from meanexp.errors import DomainError
-from meanexp.groups import mean_exponent, order_log
+from meanexp import oracle
+from meanexp.arith import factor
+from meanexp.errors import DomainError, InternalInconsistencyError
+from meanexp.groups import AbelianPShape, mean_exponent, order_log
 from meanexp.oracle import (
     QuadForm,
     ambiguous_class_count,
+    class_group,
     class_group_structure,
     class_number,
     compose,
@@ -163,3 +166,100 @@ def test_power_and_order():
         assert form_pow(f, 1, D) == f
         assert form_pow(f, -1, D) == f.inverse()
         assert form_pow(f, 2, D) != e  # order exactly 5
+
+
+def _exact_log(count, p):
+    k = 0
+    while count % p == 0:
+        count //= p
+        k += 1
+    assert count == 1, "torsion count is not a p-power"
+    return k
+
+
+def _reference_structure(D, p):
+    """Exponent filtering over every form: |G[p^j]| = p^(sum_i min(e_i, j))
+    is counted by raising each of the h forms to p^j, for j = 1, 2, ...
+    until the count stops growing; the successive differences of the logs
+    peel off the elementary divisors."""
+    forms = reduced_forms(D)
+    e = principal_form(D)
+    logs = [0]
+    j = 0
+    while True:
+        j += 1
+        killed = sum(1 for f in forms if form_pow(f, p**j, D) == e)
+        if _exact_log(killed, p) == logs[-1]:
+            break
+        logs.append(_exact_log(killed, p))
+    at_least = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
+    exps = []
+    for j, cnt in enumerate(at_least):
+        nxt = at_least[j + 1] if j + 1 < len(at_least) else 0
+        exps.extend([j + 1] * (cnt - nxt))
+    return AbelianPShape(p=p, exps=tuple(exps))
+
+
+def _check_against_reference(D):
+    h, shapes = class_group(D)
+    assert h == len(reduced_forms(D))
+    primes = sorted(set(factor(h)))
+    assert list(shapes) == primes, D
+    for p in primes:
+        assert shapes[p] == _reference_structure(D, p), (D, p)
+        assert class_group_structure(D, p) == shapes[p]
+
+
+def test_class_group_matches_reference_below_1500():
+    for n in range(3, 1500):
+        if -n % 4 in (0, 1):
+            _check_against_reference(-n)
+
+
+def test_class_group_matches_reference_on_a_sample():
+    rng = random.Random(20159)
+    for _ in range(40):
+        D = -rng.randrange(10**4, 10**5)
+        while D % 4 not in (0, 1):
+            D -= 1
+        _check_against_reference(D)
+
+
+@pytest.mark.parametrize("D", [-767423, -541528, -517059, -963212])
+def test_class_group_matches_reference_near_the_scale_limit(D):
+    # h = 985 = 5 * 197; h = 96 with 2-part (3, 1, 1); h = 192 with 2-part
+    # (4, 2); h = 648 with 2-part (3) and 3-part (2, 2)
+    _check_against_reference(D)
+
+
+def test_class_group_scale_limit_and_trivial_parts():
+    with pytest.raises(DomainError):
+        class_group(-(10**6) - 3)
+    with pytest.raises(DomainError):
+        class_group(-5)
+    assert class_group(-4) == (1, {})
+    assert class_group(-23) == (3, {3: AbelianPShape(3, (1,))})
+    assert class_group_structure(-23, 2) == AbelianPShape(2, ())
+
+
+def test_class_group_enumerates_the_forms_once(monkeypatch):
+    calls = []
+    real = oracle.reduced_forms
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(oracle, "reduced_forms", counted)
+    h, shapes = class_group(-4620)
+    assert (h, sorted(shapes)) == (24, [2, 3])
+    assert calls == [-4620]
+
+
+def test_class_group_detects_a_broken_law(monkeypatch):
+    real = oracle.compose
+    # f1 * f2^2 is not a group law on the classes
+    monkeypatch.setattr(oracle, "compose", lambda f1, f2: real(f1, real(f2, f2)))
+    for D in (-23, -4620, -767423):
+        with pytest.raises(InternalInconsistencyError):
+            class_group(D)

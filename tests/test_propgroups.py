@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 
@@ -7,6 +9,7 @@ from meanexp.errors import DomainError, InapplicableError, SeriesError
 from meanexp.propgroups import (
     GSGroupParams,
     ZassenhausRanks,
+    _float_log_ranks,
     _moebius_table,
     b_power_of_two,
     gs_series,
@@ -225,6 +228,97 @@ def test_witnesses_survive_float_overflow_boundary():
             # log(index at n+1) == log(window at n) + log(1 + index/window)
             assert nxt.index_log >= prev.window_rank - 1e-9
     assert all(row.satisfied for row in rows)
+
+
+@functools.cache
+def _full_window_log_sum(d, r, p, lo, hi):
+    """log of sum(b_i, lo <= i < hi) over every term of the window: the
+    float-log regime before it kept only the top terms."""
+    disc = d * d - 4 * r
+    alpha = (d + math.sqrt(disc)) / 2.0
+    beta = (d - math.sqrt(disc)) / 2.0
+    log_alpha = math.log(alpha)
+
+    def log_s(m):
+        base = m * log_alpha
+        if beta > 0:
+            ratio = m * (math.log(beta) - log_alpha)
+            if ratio > -700:
+                return base + math.log1p(math.exp(ratio))
+        return base
+
+    def log_V(m):
+        out = log_s(m)
+        if m % p == 0 and (m - m // p) * log_alpha < 750:
+            mm = m
+            scale = 1.0
+            while mm % p == 0:
+                mm //= p
+                scale *= p
+                delta = log_s(mm) + math.log(scale) - out
+                if delta > -700:
+                    out += math.log1p(math.exp(delta))
+        return out
+
+    top = 0
+    while top + 1 < hi and (top + 1 - (top + 1) // 2) * log_alpha < 750:
+        top += 1
+    mu = _moebius_table(top)
+    divisors = [[] for _ in range(lo, top + 1)]
+    for e in range(2, top + 1):
+        if mu[e]:
+            for i in range(-(-lo // e) * e, top + 1, e):
+                divisors[i - lo].append(e)
+    terms = []
+    for i in range(lo, hi):
+        lv = log_V(i)
+        corr = 0.0
+        for e in divisors[i - lo] if i <= top else ():
+            delta = log_V(i // e) - lv
+            if delta > -700:
+                corr += mu[e] * math.exp(delta)
+        terms.append(lv + math.log1p(max(corr, -0.999999)) - math.log(i))
+    peak = max(terms)
+    return peak + math.log(sum(math.exp(t - peak) for t in terms))
+
+
+TOP_K_TRIPLES = [(4, 4, 3), (5, 4, 2), (6, 5, 5), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("d, r, p", TOP_K_TRIPLES)
+def test_float_log_top_terms_match_full_window(d, r, p):
+    params = GSGroupParams(d=d, r=r, p=p)
+    for n in range(3, 17):
+        for lo, hi in ((1, 2**n), (2**n, 2 ** (n + 1))):
+            want = _full_window_log_sum(d, r, p, lo, hi)
+            assert _float_log_ranks(params, lo, hi) == pytest.approx(want, rel=1e-15, abs=0), (n, lo)
+
+
+def test_float_log_witness_rows_unchanged():
+    rows = theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, 16)
+    # n <= 11 reads the exact ranks to order 4095; n = 12..16 the float regime
+    assert [row.n for row in rows] == list(range(1, 17))
+    for row in rows[11:]:
+        assert row.regime == "float-log"
+        il = _full_window_log_sum(4, 4, 3, 1, 2**row.n)
+        wr = _full_window_log_sum(4, 4, 3, 2**row.n, 2 ** (row.n + 1))
+        assert row.index_log == pytest.approx(il, rel=1e-15, abs=0)
+        assert row.window_rank == pytest.approx(wr, rel=1e-15, abs=0)
+        assert row.rhs == pytest.approx(1.5 * il, rel=1e-15, abs=0)
+        assert row.satisfied == (wr >= 1.5 * il)
+
+
+@pytest.mark.parametrize("d, r, p", TOP_K_TRIPLES + [(3, 0, 5), (40, 400, 7)])
+def test_float_log_dropped_terms_below_the_stated_bound(d, r, p):
+    # the docstring's tail bound, in exact integers: for every window end hi
+    # up to order 4095 that drops anything, the ranks below hi - K sum to
+    # less than 2^-55 * b_{hi-1}
+    alpha = (d + math.sqrt(d * d - 4 * r)) / 2
+    k = math.ceil(45 / math.log(alpha)) + 2
+    b = zassenhaus_ranks(gs_series(GSGroupParams(d=d, r=r, p=p), 4095), p, 4095).b
+    below = [0, *itertools.accumulate(b)]  # below[i] = b_1 + ... + b_i
+    for hi in range(k + 2, 4096):
+        assert below[hi - k - 1] << 55 < b[hi - 2], hi
 
 
 def test_witnesses_validation():

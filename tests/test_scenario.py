@@ -439,6 +439,18 @@ def test_zero_cap_with_weighted_override_stops_fast():
 NAN, INF = float("nan"), float("inf")
 
 
+def test_large_prime_power_norms_parse_without_factoring():
+    # a prime power is recognised from exact integer roots, so a norm near
+    # 2^61 parses at once instead of after trial division up to its root
+    data = copy.deepcopy(MINIMAL)
+    data["tv"]["excluded"] = [2**61 - 1, 3**40]
+    assert parse_scenario(data).excluded == {2**61 - 1, 3**40}
+    data["tv"]["excluded"] = [(2**31 - 1) * (2**61 - 1)]
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.location == "tv.excluded[0]"
+
+
 @pytest.mark.parametrize(
     "section, key, value, location",
     [
