@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON instead of text")
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                        help="round floats in JSON output")
+                        help="round floats in JSON output to this many (>= 0) decimal places")
 
     parser = argparse.ArgumentParser(prog="meanexp", description=__doc__, exit_on_error=False)
     parser.add_argument("--json", action="store_true", default=False, help=argparse.SUPPRESS)
@@ -255,6 +255,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        if args.precision is not None and args.precision < 0:
+            raise SchemaError(f"expected a precision >= 0, got {args.precision}", location="--precision")
         payload = args.func(args)
     except SchemaError as exc:
         print(f"meanexp: invalid input: {exc}", file=sys.stderr)

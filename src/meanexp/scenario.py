@@ -10,13 +10,14 @@ serializing them with sorted keys is byte-stable across runs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 from typing import Any
 
 from .arith import PrimePower, is_prime, sieve_primes, tame_local_sum
@@ -572,11 +573,56 @@ def run_scenario_obj(sc: Scenario) -> dict:
     return report
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encode_at(depth: int):
+    """json's C encoder, with indent=2's item separator for items at ``depth``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
 def dump_report(report: dict, precision: int | None = None) -> str:
-    """Deterministic JSON text; identical inputs give identical bytes."""
+    """Deterministic JSON text; identical inputs give identical bytes.
+
+    The text is byte-identical to ``json.dumps(report, sort_keys=True,
+    indent=2)``.  That call runs json's encoder written in Python, because
+    the C encoder runs only without ``indent``; here the C encoder does the
+    work, with the indent folded into its item separator.  One encoder call
+    emits each scalar, each empty container, each container whose children
+    are all scalars, and each list of non-empty dicts of scalars (the rows of
+    ``tv.prefix`` and of a witness scan).  Any other container is emitted
+    child by child.
+    """
     if precision is not None:
         report = _round_floats(report, precision)
-    return json.dumps(report, sort_keys=True, indent=2)
+    return _emit_json(report, 0)
+
+
+def _emit_json(obj, depth: int) -> str:
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _encode_at(0)(obj)
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    is_dict = isinstance(obj, dict)
+    kinds = set(map(type, obj.values() if is_dict else obj))
+    if kinds <= _SCALAR_TYPES:
+        text = _encode_at(depth + 1)(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if (not is_dict and kinds == {dict} and all(obj)
+            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALAR_TYPES):
+        # The C encoder escapes every newline inside a string, no scalar ends
+        # in "}" and no key starts with "{", so "},\n" + indent + "{" occurs
+        # only between two rows.
+        row = "\n" + "  " * (depth + 2)
+        text = _encode_at(depth + 2)(obj).replace("}," + row + "{", inner + "}," + inner + "{" + row)
+        return "[" + inner + "{" + row + text[2:-2] + inner + "}" + outer + "]"
+    if is_dict:
+        # a one-item dict gives json's own text for the key, non-str keys included
+        items = [_encode_at(0)({key: 0})[1:-4] + ": " + _emit_json(value, depth + 1)
+                 for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_emit_json(value, depth + 1) for value in obj]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
 
 
 def _round_floats(obj, precision: int):

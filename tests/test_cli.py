@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from meanexp import cli
 
 
@@ -200,3 +202,49 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert location in err and "Traceback" not in err
+
+
+def test_negative_precision_exits_2(capsys):
+    for argv in (["mean-exponent", "--shape", "p:2,exps:3,1", "--json", "--precision", "-1"],
+                 ["--precision", "-1", "paper-example", "2", "--json"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "--precision" in err and "Traceback" not in err
+    code, out, _ = run_cli(["mean-exponent", "--shape", "p:2,exps:3,1", "--json", "--precision", "0"], capsys)
+    assert code == 0 and json.loads(out)["mean_exponent"] == 2.0
+
+
+def _rounded(obj, places: int):
+    if isinstance(obj, float):
+        return round(obj, places)
+    if isinstance(obj, dict):
+        return {k: _rounded(v, places) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v, places) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mean-exponent", "--shape", "p:2,exps:3,1"],
+        ["genus-bound", "--rho", "6", "--r1", "1", "--r2", "0", "--delta", "1"],
+        ["gs-check", "--d", "16", "--r-upper", "48"],
+        ["critere", "--rho", "8", "--t-dec", "0", "--t-total", "1"],
+        ["propgroup", "series", "--d", "4", "--r", "4", "--N", "6"],
+        ["propgroup", "ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "8"],
+        # rows up to n = 11 are exact, those above in the float-log regime
+        ["propgroup", "witnesses", "--d", "4", "--r", "4", "--p", "3", "--N", "14", "--eps", "0.5"],
+        ["oracle", "class-group", "--disc", "-4620"],
+        ["paper-example", "2", "--precision", "4"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_json_output_bytes_match_indented_json(argv, capsys):
+    args = cli.build_parser().parse_args(argv)
+    payload = args.func(args)
+    if args.precision is not None:
+        payload = _rounded(payload, args.precision)
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -258,6 +258,61 @@ def test_packaged_report_bytes_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DIGESTS[name]
 
 
+def _indented(obj) -> str:
+    """The reference text dump_report must reproduce byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+# characters that could fake a row boundary or an escape, control
+# characters, and non-ASCII text up to a lone surrogate and an astral one
+_TEXT = st.text(st.sampled_from('{}[],:" \\\n\t\x00a7é€\ud800𝄞'), max_size=6)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _TEXT,
+)
+# lists of flat dicts are the shape a report's bulk takes
+_ROWS = st.lists(st.dictionaries(_TEXT, _SCALAR, max_size=5), min_size=1, max_size=6)
+_TREE = st.recursive(
+    st.one_of(_ROWS, _SCALAR, _ROWS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_TREE)
+def test_dump_report_matches_indented_json(obj):
+    assert dump_report(obj) == _indented(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{}, {"a": 1}, {}],
+        [{"a": 1}, {}],
+        [{"a": 1.5}],
+        [{"a": [1, 2], "b": 0}, {"c": None}],
+        [{"a": 1}, {"b": {"c": 2}}],
+        [[]],
+        [[], {}],
+        {"é": "€ ☃ 𝄞", "ü": ["ß", {"ñ": "\ud800"}]},
+        [{"a": "},\n    {", "b": 2}, {"c": '"},\n    {"', "{": "}"}],
+        [{"}": "\\", "a": '"'}, {"{": "{", "b": "}"}],
+        {"rows": [{"x": "},\n      {"}, {"y": "\\},\n      {"}], "z": "}"},
+        {"k": ({"a": 1}, {"b": 2}), "t": (1, (2,))},
+        {"deep": {"prefix": [{"n": 2**70, "w": -0.0}, {"n": float("nan"), "w": float("-inf")}]}},
+        {2: [{"a": 1}], 1.5: {"b": [True, None]}},
+        0, -0.0, "", None, float("inf"), [], {},
+    ],
+)
+def test_dump_report_edge_cases_match_indented_json(obj):
+    assert dump_report(obj) == _indented(obj)
+
+
 @pytest.mark.parametrize(
     "entry",
     [
