@@ -1,20 +1,32 @@
 """Elementary number-theoretic primitives.
 
-Everything here is exact integer arithmetic; callers that need floats
-convert at the boundary.  All functions are pure.
+Everything here is exact integer arithmetic, left_sum aside; callers that
+need floats convert at the boundary.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
 from math import gcd, isqrt
+from operator import add
 
 from .errors import DomainError
 
 # Witnesses making Miller-Rabin deterministic below 3.3 * 10^24 (> 2^64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def left_sum(values):
+    """sum(values), added strictly left to right.
+
+    Built-in sum() compensates float sums from Python 3.12 on, which moves
+    the last digits; every float total that reaches a report goes through
+    here, so the report bytes do not depend on the interpreter.
+    """
+    return reduce(add, values, 0)
 
 
 def is_prime(n: int) -> bool:

@@ -142,7 +142,17 @@ def _cmd_paper_example(args) -> dict:
     return run_packaged_example(name)
 
 
+#: Largest --N per propgroup mode.  series and ranks hold N + 1 big
+#: integers whose size grows linearly in n; past witnesses' limit the
+#: float-log window ends 2^(N+1) no longer convert to floats.
+PROPGROUP_N_MAX = {"series": 10_000, "ranks": 10_000, "witnesses": propgroups.WITNESS_N_MAX}
+
+
 def _cmd_propgroup(args) -> dict:
+    if args.N > PROPGROUP_N_MAX[args.mode]:
+        raise SchemaError(
+            f"expected at most {PROPGROUP_N_MAX[args.mode]} for {args.mode}, got {args.N}", location="--N"
+        )
     params = propgroups.GSGroupParams(
         d=args.d,
         r=args.r,
@@ -153,8 +163,7 @@ def _cmd_propgroup(args) -> dict:
         series = propgroups.gs_series(params, args.N)
         return {"d": args.d, "r": args.r, "coeffs": list(series.coeffs)}
     if args.mode == "ranks":
-        series = propgroups.gs_series(params, args.N)
-        ranks = propgroups.zassenhaus_ranks(series, args.p, args.N)
+        ranks = propgroups.gs_ranks(params, args.N)
         return {"d": args.d, "r": args.r, "p": args.p, "b": list(ranks.b)}
     rows = propgroups.theo2_witnesses(params, args.eps, args.N)
     return {
@@ -227,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--N", type=int, default=16)
+    sp.add_argument("--N", type=int, default=16,
+                    help="order (series, ranks; at most %d) or last n of the scan (witnesses; at most %d)"
+                    % (PROPGROUP_N_MAX["ranks"], PROPGROUP_N_MAX["witnesses"]))
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--degrees", default="", help="comma-separated relation degrees")
     sp.set_defaults(func=_cmd_propgroup)

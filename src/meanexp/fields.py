@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from math import log, prod
 
-from .arith import PrimePower, factor, is_prime, kronecker, prime_flags
+from .arith import PrimePower, factor, is_prime, kronecker, left_sum, prime_flags
 from .errors import DegenerateFieldError, DomainError
 
 
@@ -128,7 +128,7 @@ class FieldDescriptor:
         return val
 
     def log_abs_disc(self) -> float:
-        return sum(e * log(p) for p, e in self.abs_disc_factored.items())
+        return left_sum(e * log(p) for p, e in self.abs_disc_factored.items())
 
     def genus(self) -> float:
         return 0.5 * self.log_abs_disc()
@@ -226,7 +226,7 @@ def disc_with_tame_conductor(fld: FieldDescriptor, norms, p: int) -> dict[int, i
 
 def log_disc_with_tame_conductor(fld: FieldDescriptor, norms, p: int) -> float:
     fact = disc_with_tame_conductor(fld, norms, p)
-    return sum(e * log(q) for q, e in fact.items())
+    return left_sum(e * log(q) for q, e in fact.items())
 
 
 def splitting_type(fld: FieldDescriptor, ell: int) -> SplitType:

@@ -3,7 +3,16 @@
 Class numbers and class-group structure are recomputed from scratch here:
 reduced positive-definite binary quadratic forms enumerate the classes, and
 classical Dirichlet composition gives the group law.  Nothing in this module
-shares code with the bound machinery it is used to cross-check.
+shares code with the bound machinery it is used to cross-check; its square
+roots modulo prime powers are its own.
+
+The forms are enumerated by square roots, not by trial division: for each
+a <= sqrt(|D|/3) the middle coefficients b in (-a, a] with b^2 = D (mod 4a)
+are the CRT combinations of the roots of D modulo 2^(s+1) (brute force, for
+a = 2^s * m with m odd) and modulo each odd prime power of m (Tonelli-Shanks
+and a Hensel lift, or brute force when the prime divides D).  Only those
+(a, b) are tested for reduction and primitivity, so the enumeration costs
+about sqrt(|D|) root combinations plus h.
 
 The structure takes one enumeration of the forms (class_group): for each
 p | h = p^k * m, the m-th powers of the forms generate the Sylow
@@ -127,25 +136,86 @@ def form_pow(f: QuadForm, e: int, D: int) -> QuadForm:
     return result
 
 
+def _sqrt_mod_prime(n: int, q: int) -> int | None:
+    """x with x^2 = n (mod q) for an odd prime q not dividing n, by
+    Tonelli-Shanks; None when n is not a square mod q."""
+    n %= q
+    if pow(n, (q - 1) // 2, q) != 1:
+        return None
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = 2
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    c, x, u = pow(z, t, q), pow(n, (t + 1) // 2, q), pow(n, t, q)
+    while u != 1:
+        # the least i with u^(2^i) = 1; then x^2 = n*u keeps holding
+        i, u2 = 0, u
+        while u2 != 1:
+            u2, i = u2 * u2 % q, i + 1
+        b = pow(c, 1 << (s - i - 1), q)
+        s, c = i, b * b % q
+        x, u = x * b % q, u * c % q
+    return x
+
+
+def _sqrt_mod_prime_power(D: int, q: int, k: int) -> list[int]:
+    """All x in [0, q^k) with x^2 = D (mod q^k), ascending, q an odd prime."""
+    m = q**k
+    if D % q == 0:
+        return [x for x in range(m) if (x * x - D) % m == 0]
+    x = _sqrt_mod_prime(D, q)
+    if x is None:
+        return []
+    while (x * x - D) % m:  # Hensel lift by Newton steps
+        x = (x - (x * x - D) * pow(2 * x, -1, m)) % m
+    return sorted((x, m - x))
+
+
 def reduced_forms(D: int) -> list[QuadForm]:
-    """All primitive reduced forms of discriminant D; the count is h(D)."""
+    """All primitive reduced forms of discriminant D; the count is h(D).
+
+    A reduced form has a <= sqrt(|D|/3), b in (-a, a] and b^2 = D (mod 4a).
+    Those b are residues mod 2a: the roots x mod 2^(s+1) of x^2 = D
+    (mod 2^(s+2)) for a = 2^s * m with m odd, combined by CRT with the
+    roots mod each odd prime power of m.
+    """
     _check_disc(D)
+    top = isqrt(-D // 3)
+    spf = list(range(top + 1))  # smallest prime factor
+    for q in range(2, isqrt(top) + 1):
+        if spf[q] == q:
+            for j in range(q * q, top + 1, q):
+                if spf[j] == j:
+                    spf[j] = q
+    two_roots: dict[int, list[int]] = {}
+    odd_roots: dict[int, list[int]] = {}
     forms = []
-    b_max = isqrt(-D // 3)
-    for b in range(-b_max, b_max + 1):
-        if (b - D) % 2:
-            continue
-        ac4 = b * b - D
-        m = ac4 // 4
-        a = max(abs(b), 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                f = QuadForm(a, b, c)
-                if f.is_reduced() and gcd(gcd(a, abs(b)), c) == 1:
-                    forms.append(f)
-            a += 1
-    forms.sort()
+    for a in range(1, top + 1):
+        s = (a & -a).bit_length() - 1
+        mod = 2 << s
+        roots = two_roots.get(s)
+        if roots is None:
+            roots = two_roots[s] = [x for x in range(D & 1, mod, 2) if (x * x - D) % (2 * mod) == 0]
+        rest = a >> s
+        while rest > 1 and roots:
+            q, k = spf[rest], 0
+            while rest % q == 0:
+                rest //= q
+                k += 1
+            m = q**k
+            more = odd_roots.get(m)
+            if more is None:
+                more = odd_roots[m] = _sqrt_mod_prime_power(D, q, k)
+            inv = pow(mod, -1, m)
+            roots = [r + mod * ((t - r) * inv % m) for r in roots for t in more]
+            mod *= m
+        for b in sorted(x - 2 * a if x > a else x for x in roots):
+            c = (b * b - D) // (4 * a)
+            if c > a or (c == a and b >= 0):
+                if gcd(gcd(a, b), c) == 1:
+                    forms.append(QuadForm(a, b, c))
     return forms
 
 

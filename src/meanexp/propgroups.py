@@ -10,36 +10,45 @@ The filtration ranks b_i are tied to the series by the product identity
 
     U(T) = prod_{i>=1} ((T^{p*i} - 1)/(T^i - 1))^{b_i},
 
-and are extracted exactly, in integer arithmetic, along one route:
+and are extracted exactly, in integer arithmetic, along one route that
+starts from the nonzero terms (j, e_j) of the inverse series 1/U:
 
-1. invert the series, skipping the zero coefficients of the inverse
-   (e_m = -c_m - sum_{j in supp} e_j c_{m-j}), and read off the Newton
-   power sums w_m of U from the same support
-   (w_m = -m*e_m - sum_{j in supp} e_j w_{m-j}).  For a series from
-   gs_series the inverse is the relation polynomial itself, so this costs
-   O(N*k) for k distinct degrees; a dense inverse costs O(N^2);
+1. read off the Newton power sums w_m of U from that support,
+   w_m = -m*e_m - sum_{j in supp, j < m} e_j w_{m-j}.  For a GS group the
+   inverse is the relation polynomial P(T) = 1 - d*T + sum_i T^{a_i}
+   itself (gs_ranks), so for k distinct degrees this costs O(N*k) and the
+   series is never expanded; a general series (zassenhaus_ranks) is
+   inverted first, at O(N^2) for a dense inverse;
 2. fold in the p-th powers: V_m = w_m + p * V_{m/p} (second term only when
    p | m), so that V_m = sum_{i | m} i*b_i;
-3. invert that divisor sum with a Moebius sieve, accumulating
-   mu(e) * V_k into index e*k by divisor strides.
+3. invert that divisor sum with a Moebius sieve into a separate correction
+   list, corr[i] = sum_{e | i, e >= 2} mu(e) V_{i/e}, adding V_k where
+   mu(e) = 1 and subtracting it where mu(e) = -1 along strided slices; each
+   V_i is then read once, by divmod(V_i + corr[i], i).
 
 The float-log witness regime (quadratic relations only) reads its divisors
 and Moebius values from the same sieve.  power_sums (the integer recurrence
-s_m = d*s_{m-1} - r*s_{m-2}, exact for any sign of d^2 - 4r) and
-reconstruct_series share no code with this route and serve as checks on it.
+s_m = d*s_{m-1} - r*s_{m-2}, exact for any sign of d^2 - 4r) shares no code
+with this route and serves as a check on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isqrt
+from operator import add, sub
 
-from .arith import is_prime, sieve_primes
+from .arith import is_prime, left_sum, sieve_primes
 from .errors import DomainError, InapplicableError, SeriesError
 
 #: Largest order kept in exact big-integer arithmetic; beyond this the
 #: witness scan switches to log-domain floats (relative error <= 1e-6).
 EXACT_ORDER_LIMIT = 4096
+
+#: Largest n_max of the witness scan: beyond it the window end 2^(n+1)
+#: of the float-log regime overflows a float.
+WITNESS_N_MAX = 1022
 
 
 @dataclass(frozen=True)
@@ -101,15 +110,14 @@ def gs_series(params: GSGroupParams, order: int) -> SeriesExpansion:
     """Coefficients of 1/(1 - d*T + sum_i T^{a_i}) to the given order."""
     if order < 0:
         raise DomainError("order must be nonnegative")
-    degree_counts: dict[int, int] = {}
-    for a in params.relation_degrees:
-        degree_counts[a] = degree_counts.get(a, 0) + 1
+    support = _relation_polynomial(params)
     c = [1]
     for n in range(1, order + 1):
-        val = params.d * c[n - 1]
-        for a, cnt in degree_counts.items():
-            if a <= n:
-                val -= cnt * c[n - a]
+        val = 0
+        for j, e_j in support:
+            if j > n:
+                break
+            val -= e_j * c[n - j]
         if val < 0:
             raise SeriesError(
                 f"coefficient c_{n} = {val} < 0: relations too heavy for d = {params.d}"
@@ -126,20 +134,24 @@ def power_sums(d: int, r: int, up_to: int) -> list[int]:
     return s[: up_to + 1]
 
 
-def _newton_power_sums(coeffs: tuple[int, ...]) -> list[int]:
-    """w_m with n*c_n = sum_{k=1}^{n} w_k c_{n-k}; integers when c_0 = 1.
+def _relation_polynomial(params: GSGroupParams) -> list[tuple[int, int]]:
+    """Support [(j, e_j)] of P(T) = 1 - d*T + sum_i T^{a_i} past its constant
+    term: the inverse of the GS series, ascending in j."""
+    degree_counts: dict[int, int] = {}
+    for a in params.relation_degrees:
+        degree_counts[a] = degree_counts.get(a, 0) + 1
+    return [(1, -params.d), *sorted(degree_counts.items())]
 
-    Runs the inverse series e = 1/c alongside, over its nonzero terms only.
-    """
-    n_max = len(coeffs) - 1
-    support: list[tuple[int, int]] = []  # (j, e_j) with e_j != 0, j >= 1
-    w = [0] * (n_max + 1)
-    for m in range(1, n_max + 1):
+
+def _inverse_support(coeffs: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Nonzero terms (j, e_j), j >= 1, of e = 1/c for c_0 = 1, ascending:
+    e_m = -c_m - sum_{j in supp, j < m} e_j c_{m-j}."""
+    support: list[tuple[int, int]] = []
+    for m in range(1, len(coeffs)):
         e_m = -coeffs[m] - sum(e_j * coeffs[m - j] for j, e_j in support)
-        w[m] = -m * e_m - sum(e_j * w[m - j] for j, e_j in support)
         if e_m:
             support.append((m, e_m))
-    return w
+    return support
 
 
 def _moebius_table(n: int) -> list[int]:
@@ -152,6 +164,51 @@ def _moebius_table(n: int) -> list[int]:
         for m in range(q * q, n + 1, q * q):
             mu[m] = 0
     return mu
+
+
+def _ranks_from_inverse(support: list[tuple[int, int]], p: int, order: int) -> ZassenhausRanks:
+    """b_1..b_order from the nonzero terms (j, e_j) of the inverse series.
+
+    Raises SeriesError at the first i whose b_i is not integral, or else
+    negative, checking integrality first.
+    """
+    # Newton: w_m = -m*e_m - sum_{j in supp, j < m} e_j w_{m-j}; then, in
+    # place, V_m = w_m + p*V_{m/p}
+    v = [0] * (order + 1)
+    for j, e_j in support:
+        if j <= order:
+            v[j] = -j * e_j
+    for m in range(1, order + 1):
+        w_m = v[m]
+        for j, e_j in support:
+            if j >= m:
+                break
+            w_m -= e_j * v[m - j]
+        v[m] = w_m
+    for m in range(p, order + 1, p):
+        v[m] += p * v[m // p]
+    # corr[i] = sum_{e | i, e >= 2} mu(e) V_{i/e}, so that i*b_i = V_i +
+    # corr[i].  The e above isqrt(order) come first, one strided slice per
+    # k (few k, and small V_k); then each smaller e, high to low, one
+    # strided slice of V_1.. per e.  +V_k where mu(e) = 1, -V_k where -1.
+    mu = _moebius_table(order)
+    corr = [0] * (order + 1)
+    split = isqrt(order)
+    for k in range(1, order // (split + 1) + 1):
+        at = slice((split + 1) * k, order // k * k + 1, k)
+        signed = (0, v[k], -v[k])  # indexed by mu(e)
+        corr[at] = map(add, corr[at], map(signed.__getitem__, mu[split + 1 : order // k + 1]))
+    for e in range(split, 1, -1):
+        if mu[e]:
+            corr[e::e] = map(add if mu[e] > 0 else sub, corr[e::e], v[1 : order // e + 1])
+    for i in range(1, order + 1):
+        b_i, rest = divmod(v[i] + corr[i], i)
+        if rest:
+            raise SeriesError(f"rank b_{i} is not integral ({v[i] + corr[i]}/{i})")
+        if b_i < 0:
+            raise SeriesError(f"rank b_{i} = {b_i} < 0: series is not realizable at p = {p}")
+        v[i] = b_i
+    return ZassenhausRanks(p=p, b=tuple(v[1:]))
 
 
 def zassenhaus_ranks(series: SeriesExpansion, p: int, order: int) -> ZassenhausRanks:
@@ -167,65 +224,24 @@ def zassenhaus_ranks(series: SeriesExpansion, p: int, order: int) -> ZassenhausR
         raise DomainError(
             f"series carries only {series.order()} coefficients, need {order}"
         )
-    # one list, rewritten in place (the ranks are big integers, and at the
-    # witness scan's order a second list of them is megabytes): w_m, then
-    # V_m, then i*b_i, then b_i
-    v = _newton_power_sums(series.coeffs[: order + 1])
-    for m in range(p, order + 1, p):
-        v[m] += p * v[m // p]
-    # strides over the multiples e*k of k; k descends, so v[k] is still V_k
-    # when it is read, and every write lands on an index above k
-    mu = _moebius_table(order)
-    for k in range(order // 2, 0, -1):
-        v_k = v[k]
-        for e in range(2, order // k + 1):
-            if mu[e]:
-                v[e * k] += mu[e] * v_k
-    for i in range(1, order + 1):
-        if v[i] % i != 0:
-            raise SeriesError(f"rank b_{i} is not integral ({v[i]}/{i})")
-        v[i] //= i
-        if v[i] < 0:
-            raise SeriesError(f"rank b_{i} = {v[i]} < 0: series is not realizable at p = {p}")
-    return ZassenhausRanks(p=p, b=tuple(v[1:]))
+    return _ranks_from_inverse(_inverse_support(series.coeffs[: order + 1]), p, order)
 
 
-def reconstruct_series(ranks: ZassenhausRanks, order: int) -> SeriesExpansion:
-    """Expand prod_i (1 + T^i + ... + T^{(p-1)i})^{b_i} to the given order.
+def gs_ranks(params: GSGroupParams, order: int) -> ZassenhausRanks:
+    """zassenhaus_ranks(gs_series(params, order), params.p, order), read off
+    the relation polynomial without expanding the series.
 
-    Independent of the extraction route above (plain truncated-polynomial
-    arithmetic), so a round trip through zassenhaus_ranks is a real check.
+    When the ranks fail, the series is expanded after all, so that a
+    negative coefficient c_n is reported as gs_series reports it: nonnegative
+    integral b_1..b_N make every c_n with n <= N nonnegative.
     """
-    p = ranks.p
-    coeffs = [1] + [0] * order
-    for i, bi in enumerate(ranks.b, start=1):
-        if i > order:
-            break
-        if bi == 0:
-            continue
-        # multiply by (1 - T^{p*i})^{b_i} * (1 - T^i)^{-b_i}
-        factor = [0] * (order + 1)
-        for j in range(0, order // (p * i) + 1):
-            factor[p * i * j] = (-1) ** j * math.comb(bi, j) if j <= bi else 0
-        inv = [0] * (order + 1)
-        for k in range(0, order // i + 1):
-            inv[i * k] = math.comb(bi + k - 1, k)
-        mixed = _poly_mul(factor, inv, order)
-        coeffs = _poly_mul(coeffs, mixed, order)
-    return SeriesExpansion(tuple(coeffs))
-
-
-def _poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j, bj in enumerate(b):
-            if j > order - i:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    if order < 0:
+        raise DomainError("order must be nonnegative")
+    try:
+        return _ranks_from_inverse(_relation_polynomial(params), params.p, order)
+    except SeriesError:
+        gs_series(params, order)
+        raise
 
 
 def power_sum_check(params: GSGroupParams, m: int, ranks: ZassenhausRanks) -> bool:
@@ -390,7 +406,7 @@ def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
                 corr += mu[e] * math.exp(delta)
         terms.append(lv + math.log1p(max(corr, -0.999999)) - math.log(i))
     peak = max(terms)
-    return peak + math.log(sum(math.exp(t - peak) for t in terms))
+    return peak + math.log(left_sum(math.exp(t - peak) for t in terms))
 
 
 def theo2_witnesses(
@@ -403,15 +419,17 @@ def theo2_witnesses(
     it.  Rows with 2^(n+1) - 1 <= exact_limit are exact; beyond that the
     quantities switch to the log-domain float regime and the row is marked.
     The float regime models quadratic relations only and raises
-    InapplicableError for other degrees.
+    InapplicableError for other degrees.  n_max is at most WITNESS_N_MAX.
     """
     if not 0 < epsilon < 1:
         raise DomainError("epsilon must be in (0, 1)")
+    if n_max > WITNESS_N_MAX:
+        raise DomainError(f"n_max must be at most {WITNESS_N_MAX}, got {n_max}")
     rows: list[WitnessRow] = []
     exact_top = min(2 ** (n_max + 1) - 1, exact_limit)
     ranks = None
     if exact_top >= 1:
-        ranks = zassenhaus_ranks(gs_series(params, exact_top), params.p, exact_top)
+        ranks = gs_ranks(params, exact_top)
 
     for n in range(1, n_max + 1):
         if 2 ** (n + 1) - 1 <= exact_limit and ranks is not None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, takewhile
 from typing import Any
 
-from .arith import PrimePower, is_prime, sieve_primes, tame_local_sum
+from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
 from .fields import FieldDescriptor, field_from_spec, quadratic_field, splitting_type
 from . import fields, tv
@@ -470,7 +470,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
     split_below = sum(1 for ci in solution.prefix if ci.kind == "split_full")
     # budget left once everything except the totally split candidates is paid
     # for -- the published computations quote this intermediate
-    nonsplit_cost = sum(
+    nonsplit_cost = left_sum(
         ci.weight * tv.a_coeff(ci.norm)
         for ci in solution.prefix
         if ci.kind != "split_full"
@@ -482,7 +482,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
 
     # --- assembled mean-exponent bounds
     a_sigma = tame_local_sum(sc.ray_sigma_norms, sc.p, split_completely=sc.ray_sigma_split)
-    log_sqrt_disc_ks = g + 0.5 * sum(math.log(q) for q in sc.s_norms)
+    log_sqrt_disc_ks = g + 0.5 * left_sum(math.log(q) for q in sc.s_norms)
     alpha_sig = sc.alpha_signature if sc.alpha_signature is not None else (field.r1, field.r2)
 
     bounds_block: dict[str, Any] = {}
@@ -574,6 +574,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
 
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_ITEMS_PER_CALL = 512
 
 
 @functools.cache
@@ -596,33 +597,63 @@ def dump_report(report: dict, precision: int | None = None) -> str:
     """
     if precision is not None:
         report = _round_floats(report, precision)
-    return _emit_json(report, 0)
+    out: list[str] = []
+    _emit_json(report, 0, out)
+    return "".join(out)
 
 
-def _emit_json(obj, depth: int) -> str:
+def _emit_json(obj, depth: int, out: list[str]) -> None:
+    """Append the pieces of obj's text at depth to out.
+
+    A long list is encoded _ITEMS_PER_CALL items at a time, so that its
+    whole text is never held twice before the one join at the top.
+    """
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return _encode_at(0)(obj)
+        out.append(_encode_at(0)(obj))
+        return
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     is_dict = isinstance(obj, dict)
     kinds = set(map(type, obj.values() if is_dict else obj))
     if kinds <= _SCALAR_TYPES:
-        text = _encode_at(depth + 1)(obj)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
+        if is_dict:
+            text = _encode_at(depth + 1)(obj)
+            out += (text[0], inner, text[1:-1], outer, text[-1])
+            return
+        encode, sep = _encode_at(depth + 1), "[" + inner
+        for at in range(0, len(obj), _ITEMS_PER_CALL):
+            out += (sep, encode(obj[at : at + _ITEMS_PER_CALL])[1:-1])
+            sep = "," + inner
+        out += (outer, "]")
+        return
     if (not is_dict and kinds == {dict} and all(obj)
             and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALAR_TYPES):
         # The C encoder escapes every newline inside a string, no scalar ends
         # in "}" and no key starts with "{", so "},\n" + indent + "{" occurs
         # only between two rows.
         row = "\n" + "  " * (depth + 2)
-        text = _encode_at(depth + 2)(obj).replace("}," + row + "{", inner + "}," + inner + "{" + row)
-        return "[" + inner + "{" + row + text[2:-2] + inner + "}" + outer + "]"
+        encode, between = _encode_at(depth + 2), inner + "}," + inner + "{" + row
+        sep = "[" + inner + "{" + row
+        for at in range(0, len(obj), _ITEMS_PER_CALL):
+            text = encode(obj[at : at + _ITEMS_PER_CALL])
+            out += (sep, text.replace("}," + row + "{", between)[2:-2])
+            sep = between
+        out += (inner, "}", outer, "]")
+        return
     if is_dict:
         # a one-item dict gives json's own text for the key, non-str keys included
-        items = [_encode_at(0)({key: 0})[1:-4] + ": " + _emit_json(value, depth + 1)
-                 for key, value in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    items = [_emit_json(value, depth + 1) for value in obj]
-    return "[" + inner + ("," + inner).join(items) + outer + "]"
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out += (sep, _encode_at(0)({key: 0})[1:-4], ": ")
+            _emit_json(value, depth + 1, out)
+            sep = "," + inner
+        out += (outer, "}")
+        return
+    sep = "[" + inner
+    for value in obj:
+        out.append(sep)
+        _emit_json(value, depth + 1, out)
+        sep = "," + inner
+    out += (outer, "]")
 
 
 def _round_floats(obj, precision: int):

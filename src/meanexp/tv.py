@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import exp, log, pi, sqrt
 
-from .arith import PrimePower
+from .arith import PrimePower, left_sum
 from .errors import (
     DomainError,
     InfeasibleProblemError,
@@ -123,10 +123,10 @@ class TVProblem:
                 )
 
     def fixed_budget_use(self) -> float:
-        return sum(a_coeff(q) * x for q, x in self.fixed)
+        return left_sum(a_coeff(q) * x for q, x in self.fixed)
 
     def fixed_payoff(self) -> float:
-        return sum(b_coeff(q) * x for q, x in self.fixed)
+        return left_sum(b_coeff(q) * x for q, x in self.fixed)
 
 
 def budget(problem: TVProblem) -> float:
@@ -211,7 +211,7 @@ def optimize(
         raise NeedsLargerEnumerationError(f"candidates exhausted with budget {left - consumed:.6g} unconsumed")
 
     sum_b = problem.fixed_payoff()
-    sum_b += sum(c.weight * b_coeff(c.norm) for c in prefix)
+    sum_b += left_sum(c.weight * b_coeff(c.norm) for c in prefix)
     if ell_star_0 is not None:
         sum_b += alpha * ell_star_0.weight * b_coeff(ell_star_0.norm)
     ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)

@@ -22,12 +22,12 @@ from meanexp.propgroups import (
     gs_series,
     index_log,
     power_sum_check,
-    reconstruct_series,
     window_rank,
     zassenhaus_ranks,
 )
 from meanexp.towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verdict
 from meanexp import tv
+from test_propgroups import reconstruct_series
 
 _REPORTS: dict[str, tuple[dict, float]] = {}
 

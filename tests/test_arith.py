@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meanexp.arith import (
+    left_sum,
     PrimePower,
     factor,
     is_prime,
@@ -188,3 +189,14 @@ def test_is_prime_matches_sieve_to_a_million():
     # strong pseudoprimes to the bases 2, 3, 5 and to 2, 3, 5, 7
     assert not is_prime(25_326_001)
     assert not is_prime(3_215_031_751)
+
+
+def test_left_sum_adds_left_to_right():
+    # a compensated sum (math.fsum, or built-in sum from Python 3.12 on)
+    # recovers the two ones; left to right, 1e100 absorbs them
+    values = [1.0, 1e100, 1.0, -1e100]
+    assert math.fsum(values) == 2.0
+    assert left_sum(values) == 0.0
+    assert left_sum(iter(values)) == ((1.0 + 1e100) + 1.0) - 1e100
+    assert left_sum([]) == 0 and type(left_sum([])) is int
+    assert left_sum([3, 4]) == 7

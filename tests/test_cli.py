@@ -248,3 +248,40 @@ def test_json_output_bytes_match_indented_json(argv, capsys):
     code, out, _ = run_cli(argv + ["--json"], capsys)
     assert code == 0
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ranks", "--d", "1", "--r", "1", "--p", "2", "--N", "4"],
+         "coefficient c_3 = -1 < 0: relations too heavy for d = 1"),
+        (["ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "-1"], "order must be nonnegative"),
+        (["series", "--d", "4", "--r", "4", "--N", "-1"], "order must be nonnegative"),
+        (["witnesses", "--d", "1", "--r", "1", "--p", "2", "--N", "3"],
+         "coefficient c_3 = -1 < 0: relations too heavy for d = 1"),
+        (["witnesses", "--d", "4", "--r", "3", "--p", "3", "--degrees", "2,3,5", "--N", "12"],
+         "float regime needs quadratic relations"),
+    ],
+    ids=lambda x: " ".join(x[:1]) if isinstance(x, list) else None,
+)
+def test_propgroup_error_messages(argv, message, capsys):
+    code, out, err = run_cli(["propgroup", *argv], capsys)
+    assert (code, out, err) == (2, "", f"meanexp: error: {message}\n")
+
+
+@pytest.mark.parametrize("mode, limit", sorted(cli.PROPGROUP_N_MAX.items()))
+def test_propgroup_n_past_its_maximum_exits_2(mode, limit, capsys):
+    # rejected before any series or rank is computed
+    for n in (limit + 1, 200_000, 2_000_000, 2**1024):
+        code, out, err = run_cli(["propgroup", mode, "--d", "4", "--r", "4", "--p", "3", "--N", str(n)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"meanexp: invalid input: --N: expected at most {limit} for {mode}, got {n}\n"
+
+
+def test_propgroup_n_at_its_maximum_runs(capsys):
+    # 1/(1 - T) = prod_k (1 + T^(2^k)): slow growth keeps the integers small
+    for mode in ("series", "ranks"):
+        argv = ["propgroup", mode, "--d", "1", "--r", "0", "--N", str(cli.PROPGROUP_N_MAX[mode]), "--json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+    assert [i for i, b in enumerate(json.loads(out)["b"], 1) if b] == [2**k for k in range(14)]

@@ -1,5 +1,6 @@
 import math
 import random
+from math import gcd, isqrt
 
 import pytest
 
@@ -263,3 +264,52 @@ def test_class_group_detects_a_broken_law(monkeypatch):
     for D in (-23, -4620, -767423):
         with pytest.raises(InternalInconsistencyError):
             class_group(D)
+
+
+def _reference_forms(D):
+    """The division scan: for each b, try every a from |b| up to
+    sqrt((b^2 - D)/4) as a divisor of (b^2 - D)/4."""
+    forms = []
+    b_max = isqrt(-D // 3)
+    for b in range(-b_max, b_max + 1):
+        if (b - D) % 2:
+            continue
+        m = (b * b - D) // 4
+        a = max(abs(b), 1)
+        while a * a <= m:
+            if m % a == 0:
+                f = QuadForm(a, b, m // a)
+                if f.is_reduced() and gcd(gcd(a, abs(b)), f.c) == 1:
+                    forms.append(f)
+            a += 1
+    forms.sort()
+    return forms
+
+
+def test_reduced_forms_match_the_division_scan_below_6000():
+    for n in range(3, 6000):
+        if -n % 4 in (0, 1):
+            assert reduced_forms(-n) == _reference_forms(-n), -n
+
+
+def test_reduced_forms_match_the_division_scan_near_the_scale_limit():
+    rng = random.Random(20161)
+    discs = [-767423, -630191, -999999, -4620]
+    for _ in range(60):
+        D = -rng.randrange(5 * 10**5, 10**6 + 1)
+        while D % 4 not in (0, 1):
+            D -= 1
+        discs.append(D)
+    for D in discs:
+        assert reduced_forms(D) == _reference_forms(D), D
+
+
+def test_square_roots_mod_prime_powers():
+    for q in (3, 5, 7, 11, 13, 17, 29, 37, 41, 97):
+        for k in (1, 2, 3):
+            m = q**k
+            if m > 2000:
+                continue
+            for D in (-3, -4, -q, -4 * q, -q * q, -(q**3) * 7, -999999, -767423, -630191):
+                want = [x for x in range(m) if (x * x - D) % m == 0]
+                assert oracle._sqrt_mod_prime_power(D, q, k) == want, (D, q, k)

@@ -5,18 +5,21 @@ import random
 
 import pytest
 
+from meanexp import cli, propgroups
 from meanexp.errors import DomainError, InapplicableError, SeriesError
 from meanexp.propgroups import (
+    WITNESS_N_MAX,
     GSGroupParams,
+    SeriesExpansion,
     ZassenhausRanks,
     _float_log_ranks,
     _moebius_table,
     b_power_of_two,
+    gs_ranks,
     gs_series,
     index_log,
     power_sum_check,
     power_sums,
-    reconstruct_series,
     theo2_witnesses,
     uniform_lower,
     prop_theo1_bound,
@@ -25,6 +28,88 @@ from meanexp.propgroups import (
 )
 
 GRID = [(4, 4), (5, 6), (6, 9)]
+
+
+def reconstruct_series(ranks: ZassenhausRanks, order: int) -> SeriesExpansion:
+    """Expand prod_i (1 + T^i + ... + T^{(p-1)i})^{b_i} to the given order.
+
+    Independent of the extraction route (plain truncated-polynomial
+    arithmetic), so a round trip through zassenhaus_ranks is a real check.
+    """
+    p = ranks.p
+    coeffs = [1] + [0] * order
+    for i, bi in enumerate(ranks.b, start=1):
+        if i > order:
+            break
+        if bi == 0:
+            continue
+        # multiply by (1 - T^{p*i})^{b_i} * (1 - T^i)^{-b_i}
+        factor = [0] * (order + 1)
+        for j in range(0, order // (p * i) + 1):
+            factor[p * i * j] = (-1) ** j * math.comb(bi, j) if j <= bi else 0
+        inv = [0] * (order + 1)
+        for k in range(0, order // i + 1):
+            inv[i * k] = math.comb(bi + k - 1, k)
+        mixed = _poly_mul(factor, inv, order)
+        coeffs = _poly_mul(coeffs, mixed, order)
+    return SeriesExpansion(tuple(coeffs))
+
+
+def _poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > order:
+            continue
+        for j, bj in enumerate(b):
+            if j > order - i:
+                break
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _reference_ranks(series: SeriesExpansion, p: int, order: int) -> tuple[int, ...]:
+    """The series-based route: invert the series alongside the Newton power
+    sums, fold in the p-th powers, then Moebius strides in place (k
+    descending, so v[k] is still V_k when read) and the checks in order."""
+    coeffs = series.coeffs[: order + 1]
+    support = []
+    v = [0] * (order + 1)
+    for m in range(1, order + 1):
+        e_m = -coeffs[m] - sum(e_j * coeffs[m - j] for j, e_j in support)
+        v[m] = -m * e_m - sum(e_j * v[m - j] for j, e_j in support)
+        if e_m:
+            support.append((m, e_m))
+    for m in range(p, order + 1, p):
+        v[m] += p * v[m // p]
+    mu = _moebius_table(order)
+    for k in range(order // 2, 0, -1):
+        v_k = v[k]
+        for e in range(2, order // k + 1):
+            if mu[e]:
+                v[e * k] += mu[e] * v_k
+    for i in range(1, order + 1):
+        if v[i] % i != 0:
+            raise SeriesError(f"rank b_{i} is not integral ({v[i]}/{i})")
+        v[i] //= i
+        if v[i] < 0:
+            raise SeriesError(f"rank b_{i} = {v[i]} < 0: series is not realizable at p = {p}")
+    return tuple(v[1:])
+
+
+def _reference_outcome(params: GSGroupParams, order: int):
+    """b from gs_series and the reference route, or the error it raises."""
+    try:
+        return _reference_ranks(gs_series(params, order), params.p, order)
+    except (DomainError, SeriesError) as exc:
+        return type(exc), str(exc)
+
+
+def _outcome(params: GSGroupParams, order: int):
+    try:
+        return gs_ranks(params, order).b
+    except (DomainError, SeriesError) as exc:
+        return type(exc), str(exc)
 
 
 def test_gs_series_examples():
@@ -340,3 +425,69 @@ def test_prop_theo1_bound():
     assert prop_theo1_bound(1.5, 10) == pytest.approx(10 * prop_theo1_bound(1.5, 1))
     with pytest.raises(DomainError):
         prop_theo1_bound(-1.0, 2)
+
+
+REFERENCE_DEGREES = [(2,), (2, 3, 5), (2, 4), (3, 3), (5,)]
+
+
+@pytest.mark.parametrize("degrees", REFERENCE_DEGREES)
+def test_ranks_match_the_series_route(degrees):
+    for p in (2, 3, 5):
+        params = GSGroupParams(d=4, r=len(degrees), p=p, relation_degrees=degrees)
+        series = gs_series(params, 600)
+        want = _reference_ranks(series, p, 600)
+        assert gs_ranks(params, 600).b == want, (degrees, p)
+        assert zassenhaus_ranks(series, p, 600).b == want, (degrees, p)
+        for order in (0, 1, 2, 3, 17, 64):
+            assert gs_ranks(params, order).b == want[:order], (degrees, p, order)
+
+
+def test_ranks_match_the_series_route_at_the_witness_order():
+    params = GSGroupParams(d=4, r=4, p=3)
+    assert gs_ranks(params, 4095).b == _reference_ranks(gs_series(params, 4095), 3, 4095)
+
+
+FAILURE_DEGREES = [(), (2,), (2, 2), (2, 2, 2), (2, 2, 2, 2, 2), (3,), (2, 3), (2, 3, 5), (2, 4), (3, 3, 3)]
+
+
+def test_ranks_fail_where_the_series_route_fails():
+    # same ranks or the same error, message included: a negative c_n where
+    # the series route stops there, else the same rank check at the same i
+    failures = set()
+    for d in range(1, 6):
+        for degrees in FAILURE_DEGREES:
+            for p in (2, 3, 5):
+                params = GSGroupParams(d=d, r=len(degrees), p=p, relation_degrees=degrees)
+                for order in range(-1, 41):
+                    want = _reference_outcome(params, order)
+                    assert _outcome(params, order) == want, (d, degrees, p, order)
+                    if want and isinstance(want[0], type):
+                        failures.add(want[1].split(" ", 1)[0])
+    # every kind of failure is among the cases
+    assert failures == {"coefficient", "order", "rank"}
+
+
+def test_successful_ranks_never_expand_the_series(monkeypatch, capsys):
+    calls = []
+    real = propgroups.gs_series
+
+    def counted(params, order):
+        calls.append(order)
+        return real(params, order)
+
+    monkeypatch.setattr(propgroups, "gs_series", counted)
+    base = ["propgroup", "--d", "4", "--r", "4", "--p", "3", "--json"]
+    assert cli.main(["propgroup", "ranks", *base[1:], "--N", "300"]) == 0
+    assert cli.main(["propgroup", "witnesses", *base[1:], "--N", "12"]) == 0
+    assert calls == []
+    # a failing order expands it, for the c_n < 0 message
+    assert cli.main(["propgroup", "ranks", "--d", "1", "--r", "1", "--p", "2", "--N", "4"]) == 2
+    assert calls == [4]
+    capsys.readouterr()
+
+
+def test_witness_scan_length_is_bounded():
+    with pytest.raises(DomainError, match="at most 1022"):
+        theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, WITNESS_N_MAX + 1)
+    rows = theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, WITNESS_N_MAX)
+    assert len(rows) == WITNESS_N_MAX and math.isfinite(rows[-1].rhs)

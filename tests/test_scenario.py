@@ -258,6 +258,36 @@ def test_packaged_report_bytes_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DIGESTS[name]
 
 
+def _compensated_sum(values, start=0):
+    """Built-in sum() as from Python 3.12: floats are added with Neumaier
+    compensation, ints exactly."""
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return start + sum(values)
+    total, comp = start, 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def test_compensated_sum_moves_the_last_digits():
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert _compensated_sum([0.1] * 10) != sum([0.1] * 10)
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGED_DIGESTS))
+def test_packaged_report_bytes_do_not_depend_on_the_builtin_sum(name, monkeypatch):
+    from meanexp import arith, fields, scenario
+    from meanexp.cli import run_packaged_example
+
+    for module in (arith, fields, scenario, tv):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    text = dump_report(run_packaged_example(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DIGESTS[name]
+
+
 def _indented(obj) -> str:
     """The reference text dump_report must reproduce byte for byte."""
     return json.dumps(obj, sort_keys=True, indent=2)
@@ -311,6 +341,32 @@ def test_dump_report_matches_indented_json(obj):
 )
 def test_dump_report_edge_cases_match_indented_json(obj):
     assert dump_report(obj) == _indented(obj)
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1024, 1537])
+def test_dump_report_long_lists_match_indented_json(n):
+    # long lists are encoded a slice at a time; every slice boundary must
+    # give the same bytes, in flat lists and in row lists at any depth
+    rows = [{"n": i, "s": "},\n      {" if i % 7 == 0 else str(i), "x": i / 3} for i in range(n)]
+    for obj in ([2**i for i in range(n)], tuple(range(n)), rows, {"a": {"rows": rows, "b": list(range(n))}}):
+        assert dump_report(obj) == _indented(obj)
+
+
+def test_dump_report_peak_memory_stays_below_indented_json():
+    import tracemalloc
+
+    from meanexp.propgroups import GSGroupParams, gs_ranks
+
+    # the shape of a large `propgroup ranks --json` payload (about 220 KB)
+    payload = {"d": 4, "r": 4, "p": 3, "b": list(gs_ranks(GSGroupParams(d=4, r=4, p=3), 1200).b)}
+    peaks = []
+    for dump in (dump_report, _indented):
+        tracemalloc.start()
+        text = dump(payload)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        del text
+    assert peaks[0] <= peaks[1], peaks
 
 
 @pytest.mark.parametrize(
