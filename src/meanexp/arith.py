@@ -71,10 +71,13 @@ def sieve_primes(limit: int) -> list[int]:
 def prime_flags(lo: int, hi: int) -> bytearray:
     """One segment of a segmented sieve: byte i is 1 when lo + 1 + i is prime,
     for lo + 1 + i in (lo, hi], lo >= 1; crossed off by the primes up to sqrt(hi)."""
-    flags = bytearray([1]) * (hi - lo)
+    n = hi - lo
+    flags = bytearray([1]) * n
+    zeros = bytes(n // 2 + 1)
     for p in primes_between(1, isqrt(hi)) if hi >= 4 else ():
-        first = max(p * p, -(-(lo + 1) // p) * p) - lo - 1
-        flags[first::p] = bytes(len(range(first, len(flags), p)))
+        # the offset of p^2, or of the first multiple of p past lo
+        first = p * p - lo - 1 if p * p > lo else -(lo + 1) % p
+        flags[first::p] = zeros[: (n - 1 - first) // p + 1]
     return flags
 
 

@@ -11,6 +11,7 @@ a fixed input is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 
@@ -148,6 +149,19 @@ def _cmd_paper_example(args) -> dict:
 PROPGROUP_N_MAX = {"series": 10_000, "ranks": 10_000, "witnesses": propgroups.WITNESS_N_MAX}
 
 
+def _printable(values, what: str) -> list[int]:
+    """values as a list, or SchemaError when one of them has more decimal
+    digits than the interpreter converts to text (sys.get_int_max_str_digits;
+    Python 3.11 on).  The limit itself is left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    values = list(values)
+    if limit and values and max(map(abs, values)) >= 10**limit:
+        raise SchemaError(
+            f"a {what} has more than {limit} decimal digits, Python's int-to-str limit; "
+            "lower --N or --d", location="--N")
+    return values
+
+
 def _cmd_propgroup(args) -> dict:
     if args.N > PROPGROUP_N_MAX[args.mode]:
         raise SchemaError(
@@ -161,10 +175,10 @@ def _cmd_propgroup(args) -> dict:
     )
     if args.mode == "series":
         series = propgroups.gs_series(params, args.N)
-        return {"d": args.d, "r": args.r, "coeffs": list(series.coeffs)}
+        return {"d": args.d, "r": args.r, "coeffs": _printable(series.coeffs, "series coefficient")}
     if args.mode == "ranks":
         ranks = propgroups.gs_ranks(params, args.N)
-        return {"d": args.d, "r": args.r, "p": args.p, "b": list(ranks.b)}
+        return {"d": args.d, "r": args.r, "p": args.p, "b": _printable(ranks.b, "rank")}
     rows = propgroups.theo2_witnesses(params, args.eps, args.N)
     return {
         "d": args.d,
@@ -186,7 +200,9 @@ def _cmd_oracle(args) -> dict:
     return {"disc": D, "h": h, "structures": structures, "mean_exponents": means}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     # global flags are accepted both before and after the subcommand; the
     # SUPPRESS defaults keep a post-subcommand absence from clobbering a
     # pre-subcommand value

@@ -12,12 +12,13 @@ Kronecker symbol per prime.  A fundamental discriminant D is the product of
 prime discriminants: q* = +-q = 1 mod 4 for each odd q | D, and a 2-part of
 -4, 8 or -8 when D is even.  So chi_D(ell) is the product of the characters
 chi_{q*}(ell) = (ell/q), which depend only on ell mod q, and chi_{2-part}(ell),
-which depends only on ell mod 8 (Cohen, GTM 138, 1.4 and 5.1).  Over a segment
-of integers, each factor is a cached non-residue pattern of length |q*|,
-rotated to the segment start and tiled; XOR-ing the patterns of one character
-(as one big integer each) marks where it is -1, and the prime flags of the
-segment, less the ramified primes and the marked positions, are the split
-primes.
+which depends only on ell mod 8 (Cohen, GTM 138, 1.4 and 5.1).  Each factor
+is a non-residue pattern of length |q*|; the patterns of one character are
+XOR-ed together once, in groups whose period stays at most 2^16, and cached.
+Over a segment of integers, each group's pattern is rotated to the segment
+start and tiled; XOR-ing them (as one big integer each) marks where the
+character is -1, and the prime flags of the segment, less the ramified primes
+and the marked positions, are the split primes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, repeat
 from math import log, prod
+from operator import add
 
 from .arith import PrimePower, factor, is_prime, kronecker, left_sum, prime_flags
 from .errors import DegenerateFieldError, DomainError
@@ -308,6 +310,30 @@ def _nonresidue_pattern(d: int) -> bytes:
     return bytes(pattern)
 
 
+@functools.lru_cache(maxsize=32)
+def _character_patterns(parts: tuple[int, ...]) -> tuple[bytes, ...]:
+    """The non-residue patterns of one character's prime discriminants,
+    XOR-ed together in groups whose period, the product of their |d|, stays
+    at most _PATTERN_LIMIT: byte r of a group's pattern is 1 when an odd
+    number of its characters is -1 at r.  A segment then tiles a few long
+    patterns instead of many short ones."""
+    groups: list[list[int]] = []
+    for d in sorted(parts, key=abs):
+        if groups and prod(map(abs, groups[-1])) * abs(d) <= _PATTERN_LIMIT:
+            groups[-1].append(d)
+        else:
+            groups.append([d])
+    patterns = []
+    for group in groups:
+        period = prod(map(abs, group))
+        negative = 0
+        for d in group:
+            pattern = _nonresidue_pattern(d)
+            negative ^= int.from_bytes(pattern * (period // len(pattern)), "big")
+        patterns.append(negative.to_bytes(period, "big"))
+    return tuple(patterns)
+
+
 def _prime_discriminants(fld: FieldDescriptor, D: int) -> list[int]:
     """The prime discriminants whose product is the subfield discriminant D."""
     odd = [q if q % 4 == 1 else -q for q in fld.abs_disc_factored if q != 2 and D % q == 0]
@@ -336,15 +362,17 @@ def split_primes_between(fld: FieldDescriptor, lo: int, hi: int) -> list[int]:
             per_prime.append(D)
             continue
         chi_negative = 0
-        for d in parts:
-            pattern = _nonresidue_pattern(d)
+        for pattern in _character_patterns(tuple(parts)):
             m = len(pattern)
             shift = (lo + 1) % m
             tiled = (pattern[shift:] + pattern[:shift]) * (n // m + 1)
             chi_negative ^= int.from_bytes(memoryview(tiled)[:n], "big")
         negative |= chi_negative
     split = (int.from_bytes(flags, "big") & ~negative).to_bytes(n, "big")
-    primes = list(compress(range(lo + 1, hi + 1), split))
+    # the ones of the 0/1 mask, from the lengths of the zero stretches between
+    # them: no int is made per byte, as compress(range(...), split) would
+    gaps = map(len, split.split(b"\x01"))
+    primes = list(accumulate(map(add, gaps, repeat(1)), initial=lo))[1:-1]
     for D in per_prime:
         primes = [ell for ell in primes if kronecker(D, ell) == 1]
     return primes

@@ -15,6 +15,7 @@ import heapq
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, takewhile
@@ -29,7 +30,14 @@ from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verd
 SCHEMA_VERSION = 1
 REPORT_VERSION = 1
 
+# the stream reads norms up to max(tv.norm_bound, _MAX_NORM_BOUND)
 _MAX_NORM_BOUND = 2_000_000
+#: The largest tv.norm_bound.  The stream sieves in segments of at most
+#: _SEGMENT numbers, so its memory does not grow with the bound; below the
+#: square root of the bound it also lists the primes, at most 3,401.
+NORM_BOUND_MAX = 10**9
+# the longest sieve segment of the candidate stream
+_SEGMENT = 1 << 14
 
 
 def _expect(cond: bool, message: str, location: str) -> None:
@@ -92,6 +100,19 @@ class CandidateInfo(tv.Candidate):
     weight_num: float  # in genus units
     kind: str  # split_full | ram_split | inert_sq | total_ram | override | shifted
     pinned: bool = False
+
+
+@dataclass(frozen=True)
+class SplitRun(tv.CandidateRun):
+    """Consecutive unnamed fully split primes, each its own candidate norm:
+    one shared weight (`weight` = `weight_num` / g), kind `split_full`
+    (`quadratic` in a quadratic field), never pinned."""
+
+    weight_num: float
+    kind: str
+
+    def candidate(self, prime: int) -> CandidateInfo:
+        return CandidateInfo(prime, prime, self.weight, weight_num=self.weight_num, kind=self.kind)
 
 
 @dataclass
@@ -225,6 +246,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     norm_bound = tvsec.get("norm_bound", 1000)
     _expect(_is_int(norm_bound) and norm_bound >= 2, "norm_bound must be >= 2", "tv.norm_bound")
+    _expect(norm_bound <= NORM_BOUND_MAX, f"norm_bound must be at most {NORM_BOUND_MAX}", "tv.norm_bound")
 
     s_norms = _as_list(data.get("S_norms", []), "S_norms", _is_prime_power, "prime powers")
     ray = data.get("ray_sigma", {})
@@ -324,59 +346,110 @@ def _candidate_for_prime(
     return CandidateInfo(ell, norm, weight / g, weight_num=weight, kind=kind, pinned=pin is not None)
 
 
-def _readable_primes(sc: Scenario, limit: int) -> Iterator[tuple[int, bool | None]]:
-    """(prime, split) for each prime up to limit whose candidate can have a
-    norm <= limit, in doubling segments (1, norm_bound], (norm_bound,
-    2 norm_bound], ...
-
-    Above isqrt(limit) an unramified prime that is not fully split has norm
-    ell^2 > limit, so a segment visits every prime up to isqrt(limit), the
-    primes the scenario names (ramified, in T, pinned, capped, overridden, or
-    under an excluded norm) and the fully split primes of
-    `fields.split_primes_between`.  `split` is that mask's verdict for an
-    unramified prime and None for a ramified one."""
-    ramified = sc.field.abs_disc_factored
-    named = set(ramified).union(sc.t_dec, sc.t_inert, sc.splitting_overrides, sc.eps_caps,
-                                sc.capacity_overrides, (PrimePower.from_value(q).ell for q in sc.excluded))
-    root = math.isqrt(limit)
-    lo, hi = 1, sc.norm_bound
-    while lo < limit:
-        split = fields.split_primes_between(sc.field, lo, hi)
-        split_set = set(split)
-        small = sieve_primes(min(hi, root)) if lo < root else []
-        others = {ell for ell in named.union(small) if lo < ell <= hi} - split_set
-        for ell in heapq.merge(split, sorted(others)):
-            yield ell, None if ell in ramified else ell in split_set
-        lo, hi = hi, min(2 * hi, limit)
-
-
-def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo]:
+def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo | SplitRun]:
     """Every open prime's candidate in strictly ascending norm, up to
-    max(norm_bound, _MAX_NORM_BOUND).
+    max(norm_bound, _MAX_NORM_BOUND), with each stretch of unnamed fully
+    split primes as one `SplitRun`.
+
+    The primes are sieved in segments that grow by doubling from
+    min(norm_bound, _SEGMENT) and are at most _SEGMENT long.  Above
+    isqrt(limit) an unramified prime that is not fully split has norm
+    ell^2 > limit, so a segment reads only the fully split primes of
+    `fields.split_primes_between` and the primes the scenario names
+    (ramified, in T, pinned, capped, overridden, or under an excluded norm).
+    An unnamed fully split prime always gets the same candidate apart from
+    its norm, so the stretches of them come out as runs.  A named prime
+    gets its own record.  Below isqrt(limit), an unnamed prime that is not
+    fully split waits as a bare (ell^2, ell), and its record is built only if
+    the stream reaches ell^2.
 
     A candidate whose norm is a higher power of its prime waits in a heap
-    until the primes pass its norm.  With a zero cap only capacity overrides
-    can carry weight, so only their primes are visited."""
+    until the primes pass its norm; a run is cut at each such norm.  With a
+    zero cap only capacity overrides can carry weight, so only their primes
+    are visited."""
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
     g = sc.genus
     limit = max(sc.norm_bound, _MAX_NORM_BOUND)
-    overrides = [(q, None) for q in sorted(sc.capacity_overrides) if q <= limit]
-    primes = _readable_primes(sc, limit) if cap_num > 0 else overrides
-    waiting: list[tuple[int, CandidateInfo]] = []
-    for ell, split in primes:
+    waiting: list[tuple[int, CandidateInfo | int]] = []
+
+    def visit(ell: int, split: bool | None) -> None:
         cand = None if ell in closed else _candidate_for_prime(sc, ell, cap_num, g, split)
         if cand is not None and cand.norm <= limit:
             heapq.heappush(waiting, (cand.norm, cand))
-        while waiting and waiting[0][0] <= ell:
-            yield heapq.heappop(waiting)[1]
-    while waiting:
-        yield heapq.heappop(waiting)[1]
+
+    def due(upto: int) -> Iterator[CandidateInfo]:
+        while waiting and waiting[0][0] <= upto:
+            entry = heapq.heappop(waiting)[1]
+            yield _candidate_for_prime(sc, entry, cap_num, g, False) if isinstance(entry, int) else entry
+
+    if cap_num <= 0:
+        for ell in sorted(sc.capacity_overrides):
+            if ell <= limit:
+                visit(ell, None)
+                yield from due(ell)
+        yield from due(limit)
+        return
+
+    ramified = sc.field.abs_disc_factored
+    named_set = set(ramified).union(sc.t_dec, sc.t_inert, sc.splitting_overrides, sc.eps_caps,
+                                    sc.capacity_overrides, (PrimePower.from_value(q).ell for q in sc.excluded))
+    named = sorted(named_set)
+    root = math.isqrt(limit)
+    weight_num = min(cap_num, 4.0 if sc.field.degree == 4 else 2.0)
+    run_kind = "split_full" if sc.field.degree == 4 else "quadratic"
+
+    def runs(split: tuple[int, ...], i: int, j: int) -> Iterator[CandidateInfo | SplitRun]:
+        """split[i:j] as runs, cut at each waiting norm below split[j - 1]."""
+        while i < j:
+            k = bisect_left(split, waiting[0][0], i, j) if waiting else j
+            if k > i:
+                yield SplitRun(split[i:k], weight_num / g, weight_num, run_kind)
+            if k < j:
+                yield from due(split[k])
+            i = k
+
+    lo, hi = 1, min(sc.norm_bound, _SEGMENT)
+    while lo < limit:
+        split = tuple(fields.split_primes_between(sc.field, lo, hi))
+        if lo < root:
+            small = sieve_primes(min(hi, root))
+            split_small = set(split[: bisect_right(split, root)])
+            for ell in small[bisect_right(small, lo) :]:
+                if ell not in split_small and ell not in named_set:
+                    heapq.heappush(waiting, (ell * ell, ell))
+        i = 0
+        for ell in named[bisect_right(named, lo) : bisect_right(named, hi)]:
+            j = bisect_left(split, ell, i)
+            yield from runs(split, i, j)
+            is_split = j < len(split) and split[j] == ell
+            visit(ell, None if ell in ramified else is_split)
+            yield from due(ell)
+            i = j + is_split
+        yield from runs(split, i, len(split))
+        lo, hi = hi, min(2 * hi, hi + _SEGMENT, limit)
+    yield from due(limit)
 
 
 def build_candidates(sc: Scenario, bound: int) -> list[CandidateInfo]:
-    """The candidates with norm <= bound: a prefix of `candidate_stream`."""
-    return list(takewhile(lambda c: c.norm <= bound, candidate_stream(sc)))
+    """The candidates with norm <= bound, one per prime: a prefix of
+    `candidate_stream` with its runs expanded."""
+    records = chain.from_iterable(rec.expand() for rec in candidate_stream(sc))
+    return list(takewhile(lambda c: c.norm <= bound, records))
+
+
+def _prefix_rows(filled) -> list[dict]:
+    """The report's `tv.prefix` rows, one per candidate, from the filled records."""
+    rows = []
+    for rec in filled:
+        if isinstance(rec, SplitRun):
+            w, kind = rec.weight_num, rec.kind
+            rows += [{"norm": ell, "prime": ell, "weight_num": w, "kind": kind, "pinned": False}
+                     for ell in rec.primes]
+        else:
+            rows.append({"norm": rec.norm, "prime": rec.prime, "weight_num": rec.weight_num,
+                         "kind": rec.kind, "pinned": rec.pinned})
+    return rows
 
 
 def run_scenario_data(data: dict) -> dict:
@@ -467,14 +540,12 @@ def run_scenario_obj(sc: Scenario) -> dict:
     bound = sc.norm_bound
     while lstar0 is not None and bound < lstar0:
         bound = min(bound * 2, _MAX_NORM_BOUND)
-    split_below = sum(1 for ci in solution.prefix if ci.kind == "split_full")
+    split_below = sum(len(rec.primes) if isinstance(rec, SplitRun) else 1
+                      for rec in solution.filled if rec.kind == "split_full")
     # budget left once everything except the totally split candidates is paid
     # for -- the published computations quote this intermediate
-    nonsplit_cost = left_sum(
-        ci.weight * tv.a_coeff(ci.norm)
-        for ci in solution.prefix
-        if ci.kind != "split_full"
-    )
+    nonsplit_cost = left_sum(chain.from_iterable(rec.costs() for rec in solution.filled
+                                                 if rec.kind != "split_full"))
     budget_after_nonsplit = (solution.budget - nonsplit_cost) * g
 
     # honest-assembly B alongside the (possibly pinned) headline value
@@ -545,11 +616,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
             "degenerate": solution.degenerate,
             "split_primes_below_ell_star_0": split_below,
             "norm_bound_used": bound,
-            "prefix": [
-                {"norm": ci.norm, "prime": ci.prime, "weight_num": ci.weight_num,
-                 "kind": ci.kind, "pinned": ci.pinned}
-                for ci in solution.prefix
-            ],
+            "prefix": _prefix_rows(solution.filled),
         },
         "bounds": bounds_block,
         "pinned_inputs": {

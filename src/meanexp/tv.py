@@ -23,9 +23,12 @@ genus); scenario code converts from genus-scaled integers at the boundary.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate, chain, islice, repeat
 from math import exp, log, pi, sqrt
+from operator import le, lt, mul, sub, truediv
 
 from .arith import PrimePower, left_sum
 from .errors import (
@@ -94,6 +97,49 @@ class Candidate:
     norm: int
     weight: float
 
+    def costs(self):
+        """The budget this candidate takes when filled whole: weight * a(norm)."""
+        return (self.weight * a_coeff(self.norm),)
+
+    def payoffs(self):
+        """Its payoff when filled whole: weight * b(norm)."""
+        return (self.weight * b_coeff(self.norm),)
+
+    def expand(self):
+        return (self,)
+
+
+@dataclass(frozen=True)
+class CandidateRun:
+    """Consecutive candidates, one per prime in `primes`, each of norm its
+    prime and all of one `weight`.
+
+    A run stands for `expand()`; `optimize` reads it whole, at C speed.
+    With `primes` a tuple, the run (and a solution holding it) hashes."""
+
+    primes: Sequence[int]
+    weight: float
+
+    def candidate(self, prime: int) -> Candidate:
+        return Candidate(prime, prime, self.weight)
+
+    def expand(self):
+        return map(self.candidate, self.primes)
+
+    def head(self, count: int) -> "CandidateRun":
+        """The run of its first `count` primes."""
+        return replace(self, primes=self.primes[:count])
+
+    def costs(self):
+        """weight * a_coeff(q) per prime q, in the same float operations, at C speed."""
+        qv = list(map(float, self.primes))
+        return map(mul, repeat(self.weight), map(truediv, map(log, qv), map(sub, map(sqrt, qv), repeat(1.0))))
+
+    def payoffs(self):
+        """weight * b_coeff(q) per prime q, in the same float operations, at C speed."""
+        qv = list(map(float, self.primes))
+        return map(mul, repeat(self.weight), map(log, map(truediv, qv, map(sub, qv, repeat(1.0)))))
+
 
 @dataclass(frozen=True)
 class TVProblem:
@@ -143,16 +189,21 @@ def budget(problem: TVProblem) -> float:
 class TVSolution:
     """Greedy fill result with every intermediate needed for auditing.
 
-    `prefix` holds the candidates filled whole, as read; `ell_star_0` is the
-    candidate filled by the fraction `alpha`."""
+    `filled` holds the records filled whole, as read: candidates, and runs
+    cut to the primes filled; `prefix` is the same as one candidate per
+    prime.  `ell_star_0` is the candidate filled by the fraction `alpha`."""
 
     ell_star_0: Candidate | None
     alpha: float
     sum_b_bound: float
     B_upper: float
     budget: float
-    prefix: tuple[Candidate, ...]
+    filled: tuple[Candidate | CandidateRun, ...]
     degenerate: bool = False
+
+    @cached_property
+    def prefix(self) -> tuple[Candidate, ...]:
+        return tuple(chain.from_iterable(c.expand() for c in self.filled))
 
 
 def assemble_B(sum_b: float, x0: float, x1: float) -> float:
@@ -162,7 +213,7 @@ def assemble_B(sum_b: float, x0: float, x1: float) -> float:
 
 def optimize(
     problem: TVProblem,
-    candidates: Iterable[Candidate],
+    candidates: Iterable[Candidate | CandidateRun],
     b_deduction: tuple[float, float] | None = None,
 ) -> TVSolution:
     """Greedy fractional fill of the budget over ascending candidate norms.
@@ -175,19 +226,52 @@ def optimize(
     stream.  Running out of candidates with budget left is an error unless no
     weight is positive, which makes the solution degenerate.
 
+    A `CandidateRun` among them stands for its candidates in place and gives
+    the same solution bit for bit: its costs, the running total and the stop
+    are computed over the whole run at C speed, in the same float operations
+    and with the same fit test as one candidate at a time.  A run is checked
+    whole, also past the stop.
+
     `b_deduction` optionally overrides the archimedean payoff deduction
     (x0', x1') used in the B assembly; by default the problem's own
     densities are used.  This exists so a scenario can pin a published
     assembly alongside the derived one.
     """
     left = budget(problem)
-    prefix: list[Candidate] = []
+    filled: list[Candidate | CandidateRun] = []
     ell_star_0: Candidate | None = None
     alpha = 0.0
     consumed = 0.0
     last_norm = 0
     seen_primes: set[int] = set()
     for cand in candidates:
+        if isinstance(cand, CandidateRun):
+            primes = cand.primes
+            if not primes:
+                continue
+            if primes[0] <= last_norm or not all(map(lt, primes, islice(primes, 1, None))):
+                raise DomainError("candidates must be strictly ascending by norm value")
+            if primes[0] < 2:
+                raise DomainError(f"norm must be >= 2, got {primes[0]}")
+            if cand.weight < 0:
+                raise DomainError("candidate weights must be nonnegative")
+            # a run's primes are its norms, above every norm read so far, so
+            # only a later single record can repeat one of them
+            seen_primes.update(primes)
+            last_norm = primes[-1]
+            costs = list(cand.costs())
+            totals = list(accumulate(costs, initial=consumed))
+            # fits[i] is the per-candidate test at i: cost_i <= left - consumed_{i-1}
+            fits = list(map(le, costs, map(sub, repeat(left), totals)))
+            stop = fits.index(False) if False in fits else len(fits)
+            consumed = totals[stop]
+            if cand.weight > 0 and stop:
+                filled.append(cand if stop == len(fits) else cand.head(stop))
+            if stop < len(fits):
+                ell_star_0 = cand.candidate(primes[stop])
+                alpha = (left - consumed) / costs[stop]
+                break
+            continue
         if cand.norm <= last_norm:
             raise DomainError("candidates must be strictly ascending by norm value")
         if cand.weight < 0:
@@ -200,18 +284,18 @@ def optimize(
         if cost <= left - consumed:
             consumed += cost
             if cand.weight > 0:
-                prefix.append(cand)
+                filled.append(cand)
         else:
             ell_star_0 = cand
             alpha = (left - consumed) / cost
             break
     # a positive weight lands either in the prefix or at ell_star_0
-    degenerate = not prefix and ell_star_0 is None
+    degenerate = not filled and ell_star_0 is None
     if ell_star_0 is None and not degenerate and left - consumed > 1e-12:
         raise NeedsLargerEnumerationError(f"candidates exhausted with budget {left - consumed:.6g} unconsumed")
 
     sum_b = problem.fixed_payoff()
-    sum_b += left_sum(c.weight * b_coeff(c.norm) for c in prefix)
+    sum_b += left_sum(chain.from_iterable(c.payoffs() for c in filled))
     if ell_star_0 is not None:
         sum_b += alpha * ell_star_0.weight * b_coeff(ell_star_0.norm)
     ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)
@@ -221,7 +305,7 @@ def optimize(
         sum_b_bound=sum_b,
         B_upper=assemble_B(sum_b, *ded),
         budget=left,
-        prefix=tuple(prefix),
+        filled=tuple(filled),
         degenerate=degenerate,
     )
 

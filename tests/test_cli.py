@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -285,3 +286,55 @@ def test_propgroup_n_at_its_maximum_runs(capsys):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
     assert [i for i, b in enumerate(json.loads(out)["b"], 1) if b] == [2**k for k in range(14)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.11")
+@pytest.mark.parametrize("mode, what", [("series", "series coefficient"), ("ranks", "rank")])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_int_past_the_str_digit_limit_exits_2(mode, what, json_flag, capsys):
+    # d = 5, r = 1: the coefficients pass 4,300 digits between N = 6,000 and 7,000
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["propgroup", mode, "--d", "5", "--r", "1", "--N", "7000", *json_flag], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"meanexp: invalid input: --N: a {what} has more than {limit} decimal digits, "
+                   "Python's int-to-str limit; lower --N or --d\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of cli.main, usage errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_INTERLEAVED = [
+    ["gs-check", "--d", "16", "--r-upper", "48", "--json"],
+    ["frobnicate"],
+    ["--precision", "4", "paper-example", "2", "--json"],
+    ["gs-check", "--d", "x", "--r-upper", "48"],
+    ["paper-example", "2", "--json", "--precision", "4"],
+    ["--precision", "2", "frobnicate"],
+    [],
+    ["mean-exponent", "--shape", "p:2,exps:3,1"],
+    ["critere", "--rho", "8"],
+    ["--json", "mean-exponent", "--shape", "p:2,exps:3,1"],
+    ["paper-example", "2"],
+    ["propgroup", "ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "8", "--precision", "3", "--json"],
+    ["--precision", "-1", "paper-example", "2", "--json"],
+    ["oracle", "class-group", "--disc", "-23"],
+    ["propgroup", "nope", "--d", "4", "--r", "4"],
+    ["genus-bound", "--rho", "6", "--r1", "1", "--r2", "0", "--delta", "1", "--json"],
+]
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    cached = [_outcome(argv, capsys) for argv in _INTERLEAVED * 2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(argv, capsys) for argv in _INTERLEAVED * 2]
+    assert cached == fresh
+    assert {code for code, _, _ in fresh} == {0, 2, 64}

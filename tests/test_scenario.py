@@ -1,18 +1,25 @@
 import copy
 import hashlib
+import heapq
 import json
+import math
 import time
+import tracemalloc
 from importlib import resources
+from itertools import chain, takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanexp import tv
+from meanexp import cli, fields, tv
+from meanexp import scenario as scenario_module
 from meanexp.arith import PrimePower, sieve_primes
 from meanexp.errors import InfeasibleProblemError, NeedsLargerEnumerationError, SchemaError
 from meanexp.scenario import (
     _MAX_NORM_BOUND,
+    NORM_BOUND_MAX,
+    SplitRun,
     _candidate_for_prime,
     _derived_sigma_fixed,
     build_candidates,
@@ -390,10 +397,8 @@ def test_capacity_override_rejects(entry):
     assert err.value.location == "tv.capacity_overrides[1]"
 
 
-def _reference_fill(data: dict) -> dict:
-    """The greedy fill by enumerate-then-double: every candidate up to the
-    bound, a list fill, and a doubled bound whenever the list runs out."""
-    sc = parse_scenario(data)
+def _problem(sc):
+    """(problem, b_deduction) as run_scenario_obj sets them up."""
     g = sc.genus
     pairs = sc.sigma_fixed_pin
     if pairs is None:
@@ -404,6 +409,15 @@ def _reference_fill(data: dict) -> dict:
     b_ded = None
     if sc.b_deduction_nums is not None:
         b_ded = (sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
+    return problem, b_ded
+
+
+def _reference_fill(data: dict) -> dict:
+    """The greedy fill by enumerate-then-double: every candidate up to the
+    bound, a list fill, and a doubled bound whenever the list runs out."""
+    sc = parse_scenario(data)
+    g = sc.genus
+    problem, b_ded = _problem(sc)
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
     bound = sc.norm_bound
@@ -432,9 +446,17 @@ def _reference_fill(data: dict) -> dict:
     }
 
 
+PACKAGED = ("example1", "example2", "example3", "example4", "example5", "intro")
+DEEP_BASES = ("example1", "example2", "example3", "example4", "intro")
+
+
+def _packaged(name: str) -> dict:
+    return json.loads(resources.files("meanexp").joinpath("scenarios", f"{name}.json").read_text())
+
+
 def _deep(base: str, x1_num: float) -> dict:
     """A packaged biquadratic base with T and sigma_fixed removed."""
-    data = json.loads(resources.files("meanexp").joinpath("scenarios", f"{base}.json").read_text())
+    data = _packaged(base)
     data.pop("T", None)
     data["tv"].pop("sigma_fixed", None)
     data["tv"]["x1_num"] = x1_num
@@ -487,7 +509,52 @@ def _quadratic_with_pins() -> dict:
     }
 
 
-DEEP_CASES = [(base, x1) for base in ("example1", "example2", "example3", "example4", "intro") for x1 in (2, 1, 0.6)]
+def _expanded(records):
+    """The stream's records one candidate per prime: each run expanded in place."""
+    return chain.from_iterable(rec.expand() for rec in records)
+
+
+def _reference_readable_primes(sc, limit: int):
+    """(prime, split) for each prime up to limit whose candidate can have a
+    norm <= limit, in doubling segments (1, norm_bound], (norm_bound,
+    2 norm_bound], ...: every prime up to isqrt(limit), the named primes and
+    the fully split primes of the mask."""
+    ramified = sc.field.abs_disc_factored
+    named = set(ramified).union(sc.t_dec, sc.t_inert, sc.splitting_overrides, sc.eps_caps,
+                                sc.capacity_overrides, (PrimePower.from_value(q).ell for q in sc.excluded))
+    root = math.isqrt(limit)
+    lo, hi = 1, sc.norm_bound
+    while lo < limit:
+        split = fields.split_primes_between(sc.field, lo, hi)
+        split_set = set(split)
+        small = sieve_primes(min(hi, root)) if lo < root else []
+        others = {ell for ell in named.union(small) if lo < ell <= hi} - split_set
+        for ell in heapq.merge(split, sorted(others)):
+            yield ell, None if ell in ramified else ell in split_set
+        lo, hi = hi, min(2 * hi, limit)
+
+
+def _reference_stream(sc):
+    """The per-prime candidate stream: one record per prime, each built when
+    its prime is visited, in ascending norm through a heap."""
+    closed = set(sc.t_dec) | set(sc.t_inert)
+    cap_num = sc.x0_num + 2 * sc.x1_num
+    g = sc.genus
+    limit = max(sc.norm_bound, _MAX_NORM_BOUND)
+    overrides = [(q, None) for q in sorted(sc.capacity_overrides) if q <= limit]
+    primes = _reference_readable_primes(sc, limit) if cap_num > 0 else overrides
+    waiting = []
+    for ell, split in primes:
+        cand = None if ell in closed else _candidate_for_prime(sc, ell, cap_num, g, split)
+        if cand is not None and cand.norm <= limit:
+            heapq.heappush(waiting, (cand.norm, cand))
+        while waiting and waiting[0][0] <= ell:
+            yield heapq.heappop(waiting)[1]
+    while waiting:
+        yield heapq.heappop(waiting)[1]
+
+
+DEEP_CASES = [(base, x1) for base in DEEP_BASES for x1 in (2, 1, 0.6)]
 
 
 @pytest.mark.parametrize(
@@ -529,12 +596,158 @@ def test_quadratic_splitting_pins_apply():
 
 def test_candidate_stream_is_ascending_and_matches_prefix():
     sc = parse_scenario(_minimal_with_pins())
-    stream = candidate_stream(sc)
+    stream = _expanded(candidate_stream(sc))
     head = [next(stream) for _ in range(200)]
     norms = [ci.norm for ci in head]
     assert norms == sorted(set(norms))
     assert build_candidates(sc, norms[-1]) == head
     assert all(PrimePower.from_value(ci.norm).ell == ci.prime for ci in head)
+
+
+def _quadratic_with_everything(radicand: list[int], x1_num: float) -> dict:
+    """A quadratic field with splitting pins both ways, excluded norms, eps
+    caps, capacity overrides and T primes, below and above isqrt(2e6)."""
+    return {
+        "version": 1,
+        "label": "quadratic-everything",
+        "p": 2,
+        "field": {"type": "quadratic", "radicand_factors": radicand},
+        "g_override": 40,
+        "T": {"dec": [101], "inert": [5]},
+        "tv": {
+            "x0_num": 0, "x1_num": x1_num, "norm_bound": 64,
+            "sigma_fixed": [{"q": 101, "num": 0.05}, {"q": 25, "num": 0.05}],
+            "splitting_overrides": {"3": "split", "17": "inert", "1427": "split", "1423": "inert"},
+            "excluded": [7, 49, 29, 1453],
+            "eps_caps": [{"prime": 2, "eps_num": 0.05}, {"prime": 23, "eps_num": 0.05},
+                         {"prime": 1429, "eps_num": 0.04}],
+            "capacity_overrides": [{"prime": 41, "norm": 41, "weight_num": 0.5},
+                                   {"prime": 31, "norm": 961, "weight_num": 0.2},
+                                   {"prime": 1433, "norm": 1433, "weight_num": 1}],
+        },
+    }
+
+
+def _zero_cap_with_overrides() -> dict:
+    data = copy.deepcopy(MINIMAL)
+    data["T"] = {"dec": [], "inert": []}
+    data["tv"].update(x1_num=0, capacity_overrides=[{"prime": 7, "norm": 49, "weight_num": 1},
+                                                    {"prime": 5, "norm": 5, "weight_num": 0.5}])
+    return data
+
+
+QUADRATIC_FIELDS = {"imaginary": [-1, 5, 7, 11, 13], "real": [2, 3, 5, 7, 11, 13, 17]}
+STREAM_CASES = (
+    [(f"{name}-{x1}", dict(_packaged(name), tv=dict(_packaged(name)["tv"], x1_num=x1)))
+     for name in PACKAGED for x1 in (0.03, 1)]
+    + [(f"{base}-deep", _deep(base, 0.3)) for base in DEEP_BASES]
+    + [("minimal", MINIMAL), ("minimal-pins", _minimal_with_pins()),
+       ("example1-pins-above-root", _deep_with_pins_above_root()), ("quadratic-pins", _quadratic_with_pins()),
+       ("zero-cap", _zero_cap_with_overrides())]
+    + [(f"quadratic-{kind}-{x1}", _quadratic_with_everything(rad, x1))
+       for kind, rad in QUADRATIC_FIELDS.items() for x1 in (0.05, 0.3)]
+)
+
+
+@pytest.mark.parametrize("data", [data for _, data in STREAM_CASES], ids=[name for name, _ in STREAM_CASES])
+def test_expanded_stream_matches_the_per_prime_stream(data):
+    sc = parse_scenario(copy.deepcopy(data))
+    bound = 60_000
+    got = list(takewhile(lambda c: c.norm <= bound, _expanded(candidate_stream(sc))))
+    want = list(takewhile(lambda c: c.norm <= bound, _reference_stream(sc)))
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def _assert_same_solution(got: tv.TVSolution, want: tv.TVSolution) -> None:
+    """Field for field, the floats bit for bit."""
+    for name in ("ell_star_0", "prefix", "degenerate"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("alpha", "sum_b_bound", "B_upper", "budget"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+
+
+FILL_CASES = (
+    [("example1-0.03", _deep("example1", 0.03))]
+    + [(f"{base}-{x1}", _deep(base, x1)) for base in DEEP_BASES for x1 in (0.1, 0.3, 2)]
+    + [(name, _packaged(name)) for name in PACKAGED]
+    + [(name, data) for name, data in STREAM_CASES if name.startswith(("minimal", "example1-pins", "quadratic"))]
+)
+
+
+@pytest.mark.parametrize("data", [data for _, data in FILL_CASES], ids=[name for name, _ in FILL_CASES])
+def test_fill_over_runs_matches_the_fill_over_candidates(data):
+    sc = parse_scenario(copy.deepcopy(data))
+    problem, b_ded = _problem(sc)
+    runs = tv.optimize(problem, candidate_stream(sc), b_deduction=b_ded)
+    hash(runs)
+    for other in (_expanded(candidate_stream(sc)), _reference_stream(sc)):
+        _assert_same_solution(runs, tv.optimize(problem, other, b_deduction=b_ded))
+
+
+@pytest.mark.parametrize("data, kind", [(_deep("example1", 0.3), "split_full"),
+                                        (_quadratic_with_everything([-1, 5, 7, 11, 13], 0.3), "quadratic")])
+def test_unnamed_split_primes_come_as_runs(data, kind):
+    sc = parse_scenario(data)
+    problem, _ = _problem(sc)
+    filled = tv.optimize(problem, candidate_stream(sc)).filled
+    runs = [rec for rec in filled if isinstance(rec, SplitRun)]
+    assert {rec.kind for rec in runs} == {kind} and max(len(rec.primes) for rec in runs) > 20
+    assert all(not c.pinned and c.prime == c.norm for rec in runs for c in rec.expand())
+
+
+def test_stream_builds_small_primes_only_when_it_reaches_their_square(monkeypatch):
+    built = []
+
+    def counting(sc, ell, *args):
+        built.append(ell)
+        return _candidate_for_prime(sc, ell, *args)
+
+    monkeypatch.setattr(scenario_module, "_candidate_for_prime", counting)
+    data = _deep("example1", 0.3)
+    sc = parse_scenario(copy.deepcopy(data))
+    lstar0 = run_scenario_data(data)["tv"]["ell_star_0"]
+    named = set(sc.field.abs_disc_factored) | set(sc.eps_caps)
+    assert built and all(ell in named or ell * ell <= lstar0 for ell in built)
+    assert len(built) < len(sieve_primes(math.isqrt(_MAX_NORM_BOUND))) // 4
+
+
+@pytest.mark.parametrize("bound", [10**30, 2**61 - 1, NORM_BOUND_MAX + 1])
+def test_norm_bound_past_its_maximum_exits_2(bound, tmp_path, capsys):
+    data = copy.deepcopy(MINIMAL)
+    data["tv"]["norm_bound"] = bound
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.location == "tv.norm_bound"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = cli.main(["tv-bound", "--scenario", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"meanexp: invalid input: tv.norm_bound: norm_bound must be at most {NORM_BOUND_MAX}\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("bound", [3 * 10**7, NORM_BOUND_MAX])
+def test_large_norm_bound_that_stops_early_stays_small(bound):
+    want = run_scenario_data(copy.deepcopy(MINIMAL))["tv"]
+    data = copy.deepcopy(MINIMAL)
+    data["tv"]["norm_bound"] = bound
+    tracemalloc.start()
+    try:
+        got = run_scenario_data(data)["tv"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert got["norm_bound_used"] == bound
+    assert {k: v for k, v in got.items() if k != "norm_bound_used"} == {
+        k: v for k, v in want.items() if k != "norm_bound_used"}
 
 
 def test_zero_cap_with_weighted_override_stops_fast():

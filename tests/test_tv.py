@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import pytest
 
@@ -16,6 +17,7 @@ from meanexp.tv import (
     A1_COMPLEX,
     GAMMA,
     Candidate,
+    CandidateRun,
     TVProblem,
     a_coeff,
     alpha_constant,
@@ -248,3 +250,89 @@ def test_norm_order_is_ratio_order():
     """b(q)/a(q), rounded once to Fraction, strictly decreases over q <= 10^5."""
     ratios = [Fraction(b_coeff(q)) / Fraction(a_coeff(q)) for q in range(2, 10**5 + 1)]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
+
+
+def _fill_both(problem, records):
+    """optimize over the records, checked against the fill over the same
+    records expanded to one candidate each: field for field, floats bit for bit."""
+    runs = optimize(problem, records)
+    each = optimize(problem, chain.from_iterable(rec.expand() for rec in records))
+    for name in ("ell_star_0", "prefix", "degenerate"):
+        assert getattr(runs, name) == getattr(each, name), name
+    for name in ("alpha", "sum_b_bound", "B_upper", "budget"):
+        assert getattr(runs, name).hex() == getattr(each, name).hex(), name
+    return runs
+
+
+def test_run_checks_ascending_order_across_its_boundaries():
+    prob = TVProblem(x0=0, x1=0.1)
+    for records in (
+        [CandidateRun([2, 3, 5], 0.01), Candidate(5, 5, 0.01)],
+        [Candidate(7, 7, 0.01), CandidateRun([5, 11], 0.01)],
+        [CandidateRun([2, 3], 0.01), CandidateRun([3, 5], 0.01)],
+        [CandidateRun([3, 2], 0.01)],
+        [CandidateRun([2, 5, 7, 7], 0.01)],
+    ):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            optimize(prob, records)
+    with pytest.raises(DomainError, match="norm must be >= 2"):
+        optimize(prob, [CandidateRun([1, 2], 0.01)])
+    records = [CandidateRun([2, 3], 0.01), Candidate(5, 25, 0.01), CandidateRun([29, 31], 0.01), Candidate(37, 37, 10.0)]
+    sol = _fill_both(prob, records)
+    assert [c.norm for c in sol.prefix] == [2, 3, 25, 29, 31]
+
+
+def test_run_and_single_record_for_one_prime():
+    prob = TVProblem(x0=0, x1=0.1)
+    with pytest.raises(DomainError, match="two candidates for prime 3"):
+        optimize(prob, [CandidateRun([2, 3, 5], 0.01), Candidate(3, 9, 0.01)])
+
+
+def test_run_weight_must_be_nonnegative():
+    with pytest.raises(DomainError, match="nonnegative"):
+        optimize(TVProblem(x0=0, x1=0.1), [CandidateRun([2, 3], -0.01)])
+
+
+def test_zero_weight_run_fills_nothing():
+    g = 30.0
+    sol = _fill_both(TVProblem(x0=0, x1=2 / g), [CandidateRun([2, 3], 0.0)] + [
+        Candidate(q, q, 4 / g) for q in sieve_primes(200)[2:]])
+    assert sol.prefix[0].norm == 5 and all(isinstance(rec, Candidate) for rec in sol.filled)
+
+
+def test_run_stop_at_its_first_prime():
+    g = 30.0
+    prob = TVProblem(x0=0, x1=2 / g)
+    first = Candidate(2, 2, 0.999 * budget(prob) / a_coeff(2))
+    run = CandidateRun(sieve_primes(200)[1:], 4 / g)
+    sol = _fill_both(prob, [first, run])
+    assert sol.filled == (first,)
+    assert sol.ell_star_0 == Candidate(3, 3, 4 / g) and 0 < sol.alpha < 1
+
+
+def test_run_stop_in_its_middle():
+    g = 30.0
+    run = CandidateRun(sieve_primes(200), 4 / g)
+    sol = _fill_both(TVProblem(x0=0, x1=2 / g), [run])
+    stop = run.primes.index(sol.ell_star_0.norm)
+    assert 0 < stop < len(run.primes) - 1
+    assert sol.filled == (run.head(stop),) and sol.ell_star_0 == run.candidate(run.primes[stop])
+
+
+def test_run_fills_to_its_last_prime_when_the_budget_ends_there():
+    # a weight, within 2000 ulps of left / sum(a), whose running total ends
+    # exactly at the budget: the last prime passes the fit test with equality
+    prob = TVProblem(x0=0, x1=0.1)
+    left, primes = budget(prob), [2, 3, 5, 7, 11]
+    w0 = left / sum(a_coeff(q) for q in primes)
+    for k in range(-2000, 2000):
+        run = CandidateRun(primes, w0 + k * math.ulp(w0))
+        costs = list(run.costs())
+        totals = list(accumulate(costs))
+        if totals[-1] == left and costs[-1] == left - totals[-2]:
+            break
+    else:
+        pytest.fail("no weight puts the budget's end at the last prime")
+    sol = _fill_both(prob, [run, Candidate(13, 13, run.weight)])
+    assert sol.filled == (run,)
+    assert sol.ell_star_0 == Candidate(13, 13, run.weight) and sol.alpha == 0.0
