@@ -13,9 +13,14 @@ The output holds, per workload and end-to-end metric, each side's median and
 quartiles, the number of pairs the change won (ties count for neither side),
 the change's median relative to the parent's, and whether the gain rule holds:
 a win in at least nine tenths of the pairs, and medians that differ by more
-than the parent's interquartile range.  It also holds both commits, the seeds
-and every run's result and run record.  It is rewritten after every run, so an
-interrupted session still leaves the runs made so far.  Standard library only.
+than the parent's interquartile range.  Its no-regression ``verdict`` against
+the metric's ``bound`` is ``unresolved`` when the parent's interquartile range
+is wider than the bound times its median and not every change run beats every
+parent run, else ``worse`` when the change's median is worse than the
+parent's by more than the bound, else ``within_bound``.  The file also holds
+both commits, the seeds and every run's result and run record.  It is
+rewritten after every run, so an interrupted session still leaves the runs
+made so far.  Standard library only.
 """
 
 from __future__ import annotations
@@ -92,10 +97,15 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": len(complete),
                  "parent": before, "change": after, "change_won_pairs": wins}
         if complete:
-            entry["change_over_parent"] = after["median"] / before["median"]
+            ratio = entry["change_over_parent"] = after["median"] / before["median"]
             gap = before["median"] - after["median"] if lower else after["median"] - before["median"]
             entry["gain_rule_met"] = bool(wins >= 0.9 * len(complete) and before["iqr"] is not None
                                           and gap > before["iqr"])
+            beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+            if before["iqr"] is not None and before["iqr"] > m["bound"] * before["median"] and not beats_all:
+                entry["verdict"] = "unresolved"
+            else:
+                entry["verdict"] = "worse" if (ratio - 1 if lower else 1 - ratio) > m["bound"] else "within_bound"
         out[name] = entry
     return out
 

@@ -114,7 +114,6 @@ class FieldDescriptor:
     # fundamental discriminants of the quadratic subfields:
     # one entry for a quadratic field, three for a biquadratic one
     subfield_discs: tuple[int, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         if self.r1 + 2 * self.r2 != self.degree:
@@ -157,7 +156,7 @@ class FieldDescriptor:
         return 0
 
 
-def quadratic_field(radicand, label: str = "") -> FieldDescriptor:
+def quadratic_field(radicand) -> FieldDescriptor:
     sign, fm = fundamental_discriminant_factored(radicand)
     d = sign
     for p, e in fm.items():
@@ -169,11 +168,10 @@ def quadratic_field(radicand, label: str = "") -> FieldDescriptor:
         r2=r2,
         abs_disc_factored=fm,
         subfield_discs=(d,),
-        label=label,
     )
 
 
-def biquadratic_field(d1_radicand, d2_radicand, label: str = "") -> FieldDescriptor:
+def biquadratic_field(d1_radicand, d2_radicand) -> FieldDescriptor:
     """Compositum of two distinct quadratic fields.
 
     The discriminant comes from the conductor-discriminant formula:
@@ -208,7 +206,6 @@ def biquadratic_field(d1_radicand, d2_radicand, label: str = "") -> FieldDescrip
         r2=r2,
         abs_disc_factored=disc_fact,
         subfield_discs=(D1, D2, D3),
-        label=label,
     )
 
 
@@ -413,11 +410,11 @@ def ramified_place_count(base: FieldDescriptor | None, extension_radicand, p: in
     return finite + arch
 
 
-def field_from_spec(spec: dict, label: str = "") -> FieldDescriptor:
+def field_from_spec(spec: dict) -> FieldDescriptor:
     """Build a descriptor from the scenario-file JSON representation."""
     kind = spec.get("type")
     if kind == "quadratic":
-        return quadratic_field(spec["radicand_factors"], label=label)
+        return quadratic_field(spec["radicand_factors"])
     if kind == "biquadratic":
-        return biquadratic_field(spec["d1_factors"], spec["d2_factors"], label=label)
+        return biquadratic_field(spec["d1_factors"], spec["d2_factors"])
     raise DomainError(f"unknown field type {kind!r}")

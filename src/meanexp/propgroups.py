@@ -423,60 +423,32 @@ def theo2_witnesses(
     """
     if not 0 < epsilon < 1:
         raise DomainError("epsilon must be in (0, 1)")
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if n_max > WITNESS_N_MAX:
         raise DomainError(f"n_max must be at most {WITNESS_N_MAX}, got {n_max}")
     rows: list[WitnessRow] = []
     exact_top = min(2 ** (n_max + 1) - 1, exact_limit)
-    ranks = None
-    if exact_top >= 1:
-        ranks = gs_ranks(params, exact_top)
+    ranks = gs_ranks(params, exact_top) if exact_top >= 1 else None
 
     for n in range(1, n_max + 1):
-        if 2 ** (n + 1) - 1 <= exact_limit and ranks is not None:
+        if 2 ** (n + 1) - 1 <= exact_limit:
             il = index_log(ranks, n)
             wr = window_rank(ranks, n)
             try:
                 rhs = float(il) ** (2 - epsilon) if il > 0 else 0.0
-                rows.append(
-                    WitnessRow(
-                        n=n,
-                        index_log=float(il),
-                        window_rank=float(wr),
-                        rhs=rhs,
-                        satisfied=float(wr) >= rhs,
-                        regime="exact",
-                    )
-                )
+                rows.append(WitnessRow(n, float(il), float(wr), rhs, float(wr) >= rhs, "exact"))
+                continue
             except OverflowError:
                 # the ranks are exact but too large for raw floats: report the
                 # row in the log domain (math.log is exact-input on big ints)
                 log_il = math.log(il)
                 log_wr = math.log(wr) if wr > 0 else float("-inf")
-                log_rhs = (2 - epsilon) * log_il
-                rows.append(
-                    WitnessRow(
-                        n=n,
-                        index_log=log_il,
-                        window_rank=log_wr,
-                        rhs=log_rhs,
-                        satisfied=log_wr >= log_rhs,
-                        regime="float-log",
-                    )
-                )
         else:
             log_il = _float_log_ranks(params, 1, 2**n)
             log_wr = _float_log_ranks(params, 2**n, 2 ** (n + 1))
-            log_rhs = (2 - epsilon) * log_il
-            rows.append(
-                WitnessRow(
-                    n=n,
-                    index_log=log_il,
-                    window_rank=log_wr,
-                    rhs=log_rhs,
-                    satisfied=log_wr >= log_rhs,
-                    regime="float-log",
-                )
-            )
+        log_rhs = (2 - epsilon) * log_il
+        rows.append(WitnessRow(n, log_il, log_wr, log_rhs, log_wr >= log_rhs, "float-log"))
     return rows
 
 

@@ -110,6 +110,7 @@ class SplitRun(tv.CandidateRun):
 
     weight_num: float
     kind: str
+    pinned = False
 
     def candidate(self, prime: int) -> CandidateInfo:
         return CandidateInfo(prime, prime, self.weight, weight_num=self.weight_num, kind=self.kind)
@@ -166,13 +167,13 @@ def parse_scenario(data: dict) -> Scenario:
         ok = isinstance(factors, list) and all(map(_is_int, factors))
         _expect(ok, "expected a list of integers", f"field.{key}")
     try:
-        field = field_from_spec(fspec, label=label)
+        field = field_from_spec(fspec)
     except (DomainError, KeyError) as exc:
         raise SchemaError(f"bad field spec: {exc}", location="field") from exc
 
     base = None
     if field.degree == 4:
-        base = quadratic_field(fspec["d1_factors"], label=f"{label}:base")
+        base = quadratic_field(fspec["d1_factors"])
     elif field.degree == 2:
         base = field
 
@@ -440,16 +441,9 @@ def build_candidates(sc: Scenario, bound: int) -> list[CandidateInfo]:
 
 def _prefix_rows(filled) -> list[dict]:
     """The report's `tv.prefix` rows, one per candidate, from the filled records."""
-    rows = []
-    for rec in filled:
-        if isinstance(rec, SplitRun):
-            w, kind = rec.weight_num, rec.kind
-            rows += [{"norm": ell, "prime": ell, "weight_num": w, "kind": kind, "pinned": False}
-                     for ell in rec.primes]
-        else:
-            rows.append({"norm": rec.norm, "prime": rec.prime, "weight_num": rec.weight_num,
-                         "kind": rec.kind, "pinned": rec.pinned})
-    return rows
+    return [{"norm": norm, "prime": ell, "weight_num": w, "kind": kind, "pinned": pinned}
+            for rec in filled for w, kind, pinned in [(rec.weight_num, rec.kind, rec.pinned)]
+            for norm, ell in zip(rec.norms, rec.primes)]
 
 
 def run_scenario_data(data: dict) -> dict:
@@ -540,8 +534,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
     bound = sc.norm_bound
     while lstar0 is not None and bound < lstar0:
         bound = min(bound * 2, _MAX_NORM_BOUND)
-    split_below = sum(len(rec.primes) if isinstance(rec, SplitRun) else 1
-                      for rec in solution.filled if rec.kind == "split_full")
+    split_below = sum(len(rec.primes) for rec in solution.filled if rec.kind == "split_full")
     # budget left once everything except the totally split candidates is paid
     # for -- the published computations quote this intermediate
     nonsplit_cost = left_sum(chain.from_iterable(rec.costs() for rec in solution.filled

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from math import exp, log, pi, sqrt
-from operator import le, lt, mul, sub, truediv
+from operator import le, lt, sub
 
 from .arith import PrimePower, left_sum
 from .errors import (
@@ -88,57 +88,67 @@ def zimmert_lower(x0: float, x1: float) -> float:
     return (log(sqrt(pi * exp(1))) + GAMMA / 2) * x0 + (log(2.0) + GAMMA) * x1
 
 
+class Record:
+    """Candidates that `optimize` reads as one; the protocol is in its docstring."""
+
+    def costs(self) -> list[float]:
+        """weight * a_coeff(q) per norm q, in the same float operations."""
+        w = self.weight
+        return [w * (log(q) / (sqrt(q) - 1.0)) for q in map(float, self.norms)]
+
+    def payoffs(self) -> list[float]:
+        """weight * b_coeff(q) per norm q, in the same float operations."""
+        w = self.weight
+        return [w * log(q / (q - 1.0)) for q in map(float, self.norms)]
+
+    def expand(self):
+        return map(self.at, range(len(self.norms)))
+
+
 @dataclass(frozen=True)
-class Candidate:
+class Candidate(Record):
     """A prime's cheapest admissible norm (a power of `prime`) with its
-    absolute density cap."""
+    absolute density cap: a record of one."""
 
     prime: int
     norm: int
     weight: float
 
-    def costs(self):
-        """The budget this candidate takes when filled whole: weight * a(norm)."""
-        return (self.weight * a_coeff(self.norm),)
+    @property
+    def primes(self) -> tuple[int]:
+        return (self.prime,)
 
-    def payoffs(self):
-        """Its payoff when filled whole: weight * b(norm)."""
-        return (self.weight * b_coeff(self.norm),)
+    @property
+    def norms(self) -> tuple[int]:
+        return (self.norm,)
 
-    def expand(self):
-        return (self,)
+    def at(self, i: int) -> "Candidate":
+        return self
 
 
 @dataclass(frozen=True)
-class CandidateRun:
+class CandidateRun(Record):
     """Consecutive candidates, one per prime in `primes`, each of norm its
     prime and all of one `weight`.
 
-    A run stands for `expand()`; `optimize` reads it whole, at C speed.
     With `primes` a tuple, the run (and a solution holding it) hashes."""
 
     primes: Sequence[int]
     weight: float
 
+    @property
+    def norms(self) -> Sequence[int]:
+        return self.primes
+
     def candidate(self, prime: int) -> Candidate:
         return Candidate(prime, prime, self.weight)
 
-    def expand(self):
-        return map(self.candidate, self.primes)
+    def at(self, i: int) -> Candidate:
+        return self.candidate(self.primes[i])
 
     def head(self, count: int) -> "CandidateRun":
         """The run of its first `count` primes."""
         return replace(self, primes=self.primes[:count])
-
-    def costs(self):
-        """weight * a_coeff(q) per prime q, in the same float operations, at C speed."""
-        qv = list(map(float, self.primes))
-        return map(mul, repeat(self.weight), map(truediv, map(log, qv), map(sub, map(sqrt, qv), repeat(1.0))))
-
-    def payoffs(self):
-        """weight * b_coeff(q) per prime q, in the same float operations, at C speed."""
-        qv = list(map(float, self.primes))
-        return map(mul, repeat(self.weight), map(log, map(truediv, qv, map(sub, qv, repeat(1.0)))))
 
 
 @dataclass(frozen=True)
@@ -198,7 +208,7 @@ class TVSolution:
     sum_b_bound: float
     B_upper: float
     budget: float
-    filled: tuple[Candidate | CandidateRun, ...]
+    filled: tuple[Record, ...]
     degenerate: bool = False
 
     @cached_property
@@ -213,7 +223,7 @@ def assemble_B(sum_b: float, x0: float, x1: float) -> float:
 
 def optimize(
     problem: TVProblem,
-    candidates: Iterable[Candidate | CandidateRun],
+    candidates: Iterable[Record],
     b_deduction: tuple[float, float] | None = None,
 ) -> TVSolution:
     """Greedy fractional fill of the budget over ascending candidate norms.
@@ -226,11 +236,12 @@ def optimize(
     stream.  Running out of candidates with budget left is an error unless no
     weight is positive, which makes the solution degenerate.
 
-    A `CandidateRun` among them stands for its candidates in place and gives
-    the same solution bit for bit: its costs, the running total and the stop
-    are computed over the whole run at C speed, in the same float operations
-    and with the same fit test as one candidate at a time.  A run is checked
-    whole, also past the stop.
+    Candidates come as records: a `Candidate` is a record of one, a
+    `CandidateRun` one of consecutive primes (an empty run is skipped).  A
+    record has `primes`, their `norms`, one `weight`, `costs()`/`payoffs()`
+    over its norms and `at(i)`, its candidate at i; a run also has `head(k)`.
+    Each record is checked whole, also past the stop, and read in one pass
+    with the same float operations and fit test as one candidate at a time.
 
     `b_deduction` optionally overrides the archimedean payoff deduction
     (x0', x1') used in the B assembly; by default the problem's own
@@ -238,56 +249,40 @@ def optimize(
     assembly alongside the derived one.
     """
     left = budget(problem)
-    filled: list[Candidate | CandidateRun] = []
+    filled: list[Record] = []
     ell_star_0: Candidate | None = None
     alpha = 0.0
     consumed = 0.0
     last_norm = 0
     seen_primes: set[int] = set()
-    for cand in candidates:
-        if isinstance(cand, CandidateRun):
-            primes = cand.primes
-            if not primes:
-                continue
-            if primes[0] <= last_norm or not all(map(lt, primes, islice(primes, 1, None))):
-                raise DomainError("candidates must be strictly ascending by norm value")
-            if primes[0] < 2:
-                raise DomainError(f"norm must be >= 2, got {primes[0]}")
-            if cand.weight < 0:
-                raise DomainError("candidate weights must be nonnegative")
-            # a run's primes are its norms, above every norm read so far, so
-            # only a later single record can repeat one of them
-            seen_primes.update(primes)
-            last_norm = primes[-1]
-            costs = list(cand.costs())
-            totals = list(accumulate(costs, initial=consumed))
-            # fits[i] is the per-candidate test at i: cost_i <= left - consumed_{i-1}
-            fits = list(map(le, costs, map(sub, repeat(left), totals)))
-            stop = fits.index(False) if False in fits else len(fits)
-            consumed = totals[stop]
-            if cand.weight > 0 and stop:
-                filled.append(cand if stop == len(fits) else cand.head(stop))
-            if stop < len(fits):
-                ell_star_0 = cand.candidate(primes[stop])
-                alpha = (left - consumed) / costs[stop]
-                break
+    for rec in candidates:
+        norms = rec.norms
+        if not norms:
             continue
-        if cand.norm <= last_norm:
+        if norms[0] <= last_norm or not all(map(lt, norms, islice(norms, 1, None))):
             raise DomainError("candidates must be strictly ascending by norm value")
-        if cand.weight < 0:
+        if norms[0] < 2:
+            raise DomainError(f"norm must be >= 2, got {norms[0]}")
+        if rec.weight < 0:
             raise DomainError("candidate weights must be nonnegative")
-        if cand.prime in seen_primes:
-            raise DomainError(f"two candidates for prime {cand.prime}")
-        seen_primes.add(cand.prime)
-        last_norm = cand.norm
-        cost = cand.weight * a_coeff(cand.norm)
-        if cost <= left - consumed:
-            consumed += cost
-            if cand.weight > 0:
-                filled.append(cand)
-        else:
-            ell_star_0 = cand
-            alpha = (left - consumed) / cost
+        # every prime read so far is at most last_norm, below norms[0]; a run's
+        # primes are its norms, so only a higher power can repeat a prime
+        primes = rec.primes
+        if primes[0] < norms[0] and primes[0] in seen_primes:
+            raise DomainError(f"two candidates for prime {primes[0]}")
+        seen_primes.update(primes)
+        last_norm = norms[-1]
+        costs = rec.costs()
+        totals = list(accumulate(costs, initial=consumed))
+        # fits[i] is the per-candidate test at i: cost_i <= left - consumed_{i-1}
+        fits = list(map(le, costs, map(sub, repeat(left), totals)))
+        stop = fits.index(False) if False in fits else len(fits)
+        consumed = totals[stop]
+        if rec.weight > 0 and stop:
+            filled.append(rec if stop == len(fits) else rec.head(stop))
+        if stop < len(fits):
+            ell_star_0 = rec.at(stop)
+            alpha = (left - consumed) / costs[stop]
             break
     # a positive weight lands either in the prefix or at ell_star_0
     degenerate = not filled and ell_star_0 is None

@@ -1,0 +1,56 @@
+"""The summary of ``scripts/bench_pairs.py`` on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+P50 = {"name": "req_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+RPS = {"name": "throughput_rps", "unit": "req/s", "better": "higher", "bound": 0.25}
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(metric: str, parent: list[float], change: list[float]) -> list[dict]:
+    """One run per side and pair, pair i holding parent[i] and change[i]."""
+    return [{"pair": i, "side": side, "result": {"metrics": {metric: {"value": value}}}}
+            for i, pair in enumerate(zip(parent, change)) for side, value in zip(("parent", "change"), pair)]
+
+
+@pytest.mark.parametrize(
+    "metric, parent, change, verdict",
+    [
+        # a tight parent, the change 10 % slower: inside the 0.25 bound
+        (P50, [10.0, 10.1, 9.9, 10.0, 10.2], [11.0, 11.1, 10.9, 11.0, 11.2], "within_bound"),
+        # a tight parent, the change 40 % slower
+        (P50, [10.0, 10.1, 9.9, 10.0, 10.2], [14.0, 14.1, 13.9, 14.0, 14.2], "worse"),
+        # the same for a metric where higher is better
+        (RPS, [100.0, 101.0, 99.0, 100.0, 102.0], [60.0, 61.0, 59.0, 60.0, 62.0], "worse"),
+        (RPS, [100.0, 101.0, 99.0, 100.0, 102.0], [90.0, 91.0, 89.0, 90.0, 92.0], "within_bound"),
+        # a parent whose interquartile range is 0.45 of its median cannot resolve 0.25
+        (P50, [7.0, 10.0, 13.0, 10.0, 7.0, 13.0], [9.0, 12.0, 15.0, 12.0, 9.0, 15.0], "unresolved"),
+        (P50, [7.0, 10.0, 13.0, 10.0, 7.0, 13.0], [20.0, 20.0, 20.0, 20.0, 20.0, 20.0], "unresolved"),
+        # unless every change run beats every parent run
+        (P50, [7.0, 10.0, 13.0, 10.0, 7.0, 13.0], [5.0, 6.0, 6.5, 6.0, 5.0, 6.5], "within_bound"),
+    ],
+)
+def test_verdict_against_the_bound(bench_pairs, metric, parent, change, verdict):
+    entry = bench_pairs.summarise(_runs(metric["name"], parent, change), [metric])[metric["name"]]
+    assert entry["pairs"] == len(parent)
+    assert entry["verdict"] == verdict
+
+
+def test_incomplete_pairs_are_left_out(bench_pairs):
+    runs = _runs("req_p50_ms", [10.0, 10.0, 10.0], [10.0, 10.0, 30.0])
+    runs[-1]["result"] = None  # the last pair's change run gave no result
+    entry = bench_pairs.summarise(runs, [P50])["req_p50_ms"]
+    assert entry["pairs"] == 2 and entry["verdict"] == "within_bound"
+    assert "verdict" not in bench_pairs.summarise([], [P50])["req_p50_ms"]

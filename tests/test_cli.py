@@ -258,6 +258,8 @@ def test_json_output_bytes_match_indented_json(argv, capsys):
          "coefficient c_3 = -1 < 0: relations too heavy for d = 1"),
         (["ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "-1"], "order must be nonnegative"),
         (["series", "--d", "4", "--r", "4", "--N", "-1"], "order must be nonnegative"),
+        (["witnesses", "--d", "4", "--r", "4", "--p", "3", "--N", "-3", "--json"], "n_max must be nonnegative, got -3"),
+        (["witnesses", "--d", "4", "--r", "4", "--p", "3", "--N", "-1"], "n_max must be nonnegative, got -1"),
         (["witnesses", "--d", "1", "--r", "1", "--p", "2", "--N", "3"],
          "coefficient c_3 = -1 < 0: relations too heavy for d = 1"),
         (["witnesses", "--d", "4", "--r", "3", "--p", "3", "--degrees", "2,3,5", "--N", "12"],
@@ -268,6 +270,11 @@ def test_json_output_bytes_match_indented_json(argv, capsys):
 def test_propgroup_error_messages(argv, message, capsys):
     code, out, err = run_cli(["propgroup", *argv], capsys)
     assert (code, out, err) == (2, "", f"meanexp: error: {message}\n")
+
+
+def test_witnesses_at_n_zero_scan_nothing(capsys):
+    code, out, err = run_cli(["propgroup", "witnesses", "--d", "4", "--r", "4", "--p", "3", "--N", "0", "--json"], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["rows"] == []
 
 
 @pytest.mark.parametrize("mode, limit", sorted(cli.PROPGROUP_N_MAX.items()))

@@ -313,6 +313,14 @@ def test_witnesses_survive_float_overflow_boundary():
             # log(index at n+1) == log(window at n) + log(1 + index/window)
             assert nxt.index_log >= prev.window_rank - 1e-9
     assert all(row.satisfied for row in rows)
+    # below the exact limit a row in the log domain holds the logs of the exact ranks
+    ranks = gs_ranks(params, 2**12 - 1)
+    overflowed = [row for row in rows if row.regime == "float-log" and 2 ** (row.n + 1) - 1 <= 4096]
+    assert overflowed
+    for row in overflowed:
+        il, wr = index_log(ranks, row.n), window_rank(ranks, row.n)
+        assert (row.index_log, row.window_rank) == (math.log(il), math.log(wr))
+        assert row.rhs == 1.5 * row.index_log and row.satisfied == (row.window_rank >= row.rhs)
 
 
 @functools.cache
@@ -491,3 +499,7 @@ def test_witness_scan_length_is_bounded():
         theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, WITNESS_N_MAX + 1)
     rows = theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, WITNESS_N_MAX)
     assert len(rows) == WITNESS_N_MAX and math.isfinite(rows[-1].rhs)
+    for n_max in (-1, -3):
+        with pytest.raises(DomainError, match=f"^n_max must be nonnegative, got {n_max}$"):
+            theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, n_max)
+    assert theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, 0) == []

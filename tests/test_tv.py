@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate, chain
 
 import pytest
 
-from meanexp.arith import PrimePower, sieve_primes
+from meanexp.arith import PrimePower, left_sum, sieve_primes
 from meanexp.errors import (
     DomainError,
     InfeasibleProblemError,
@@ -19,6 +20,7 @@ from meanexp.tv import (
     Candidate,
     CandidateRun,
     TVProblem,
+    TVSolution,
     a_coeff,
     alpha_constant,
     assemble_B,
@@ -252,16 +254,79 @@ def test_norm_order_is_ratio_order():
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
 
 
+def _reference_optimize(problem, candidates, b_deduction=None):
+    """The greedy fill one candidate at a time: the reference that
+    `optimize`, which reads whole records, is checked against."""
+    left = budget(problem)
+    filled = []
+    ell_star_0 = None
+    alpha = 0.0
+    consumed = 0.0
+    last_norm = 0
+    seen_primes: set[int] = set()
+    for cand in candidates:
+        if cand.norm <= last_norm:
+            raise DomainError("candidates must be strictly ascending by norm value")
+        if cand.weight < 0:
+            raise DomainError("candidate weights must be nonnegative")
+        if cand.prime in seen_primes:
+            raise DomainError(f"two candidates for prime {cand.prime}")
+        seen_primes.add(cand.prime)
+        last_norm = cand.norm
+        cost = cand.weight * a_coeff(cand.norm)
+        if cost <= left - consumed:
+            consumed += cost
+            if cand.weight > 0:
+                filled.append(cand)
+        else:
+            ell_star_0 = cand
+            alpha = (left - consumed) / cost
+            break
+    degenerate = not filled and ell_star_0 is None
+    if ell_star_0 is None and not degenerate and left - consumed > 1e-12:
+        raise NeedsLargerEnumerationError(f"candidates exhausted with budget {left - consumed:.6g} unconsumed")
+
+    sum_b = problem.fixed_payoff()
+    sum_b += left_sum(cand.weight * b_coeff(cand.norm) for cand in filled)
+    if ell_star_0 is not None:
+        sum_b += alpha * ell_star_0.weight * b_coeff(ell_star_0.norm)
+    ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)
+    return TVSolution(
+        ell_star_0=ell_star_0,
+        alpha=alpha,
+        sum_b_bound=sum_b,
+        B_upper=assemble_B(sum_b, *ded),
+        budget=left,
+        filled=tuple(filled),
+        degenerate=degenerate,
+    )
+
+
+def _assert_same_fill(got, want):
+    """Every `TVSolution` field, `filled` as the candidates it holds, the floats bit for bit."""
+    for field in fields(TVSolution):
+        name = "prefix" if field.name == "filled" else field.name
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.hex() == b.hex() if isinstance(b, float) else a == b, name
+
+
+def _expand(records):
+    return chain.from_iterable(rec.expand() for rec in records)
+
+
 def _fill_both(problem, records):
-    """optimize over the records, checked against the fill over the same
-    records expanded to one candidate each: field for field, floats bit for bit."""
-    runs = optimize(problem, records)
-    each = optimize(problem, chain.from_iterable(rec.expand() for rec in records))
-    for name in ("ell_star_0", "prefix", "degenerate"):
-        assert getattr(runs, name) == getattr(each, name), name
-    for name in ("alpha", "sum_b_bound", "B_upper", "budget"):
-        assert getattr(runs, name).hex() == getattr(each, name).hex(), name
-    return runs
+    """optimize over the records, checked against the reference fill over
+    the same records expanded to one candidate each."""
+    sol = optimize(problem, records)
+    _assert_same_fill(sol, _reference_optimize(problem, _expand(records)))
+    return sol
+
+
+def _rejected_by_both(problem, records, message):
+    """optimize and the reference fill reject the records with the same message."""
+    for fill, arg in ((optimize, records), (_reference_optimize, _expand(records))):
+        with pytest.raises(DomainError, match=message):
+            fill(problem, arg)
 
 
 def test_run_checks_ascending_order_across_its_boundaries():
@@ -273,10 +338,10 @@ def test_run_checks_ascending_order_across_its_boundaries():
         [CandidateRun([3, 2], 0.01)],
         [CandidateRun([2, 5, 7, 7], 0.01)],
     ):
-        with pytest.raises(DomainError, match="strictly ascending"):
-            optimize(prob, records)
-    with pytest.raises(DomainError, match="norm must be >= 2"):
-        optimize(prob, [CandidateRun([1, 2], 0.01)])
+        _rejected_by_both(prob, records, "strictly ascending")
+    _rejected_by_both(prob, [CandidateRun([1, 2], 0.01)], "^norm must be >= 2, got 1$")
+    # a single record of norm 1 gets the message a_coeff gives
+    _rejected_by_both(prob, [Candidate(1, 1, 0.01)], "^norm must be >= 2, got 1$")
     records = [CandidateRun([2, 3], 0.01), Candidate(5, 25, 0.01), CandidateRun([29, 31], 0.01), Candidate(37, 37, 10.0)]
     sol = _fill_both(prob, records)
     assert [c.norm for c in sol.prefix] == [2, 3, 25, 29, 31]
@@ -284,13 +349,28 @@ def test_run_checks_ascending_order_across_its_boundaries():
 
 def test_run_and_single_record_for_one_prime():
     prob = TVProblem(x0=0, x1=0.1)
-    with pytest.raises(DomainError, match="two candidates for prime 3"):
-        optimize(prob, [CandidateRun([2, 3, 5], 0.01), Candidate(3, 9, 0.01)])
+    for ell, records in (
+        (3, [CandidateRun([2, 3, 5], 0.01), Candidate(3, 9, 0.01)]),
+        (2, [CandidateRun([2, 3, 5], 0.01), Candidate(2, 8, 0.01)]),
+        (5, [CandidateRun([2, 3, 5], 0.01), CandidateRun([7], 0.01), Candidate(5, 25, 0.01)]),
+        (3, [Candidate(3, 3, 0.01), CandidateRun([5, 7], 0.01), Candidate(3, 9, 0.01)]),
+        (2, [Candidate(2, 2, 0.01), Candidate(2, 4, 0.01)]),
+    ):
+        _rejected_by_both(prob, records, f"^two candidates for prime {ell}$")
 
 
 def test_run_weight_must_be_nonnegative():
-    with pytest.raises(DomainError, match="nonnegative"):
-        optimize(TVProblem(x0=0, x1=0.1), [CandidateRun([2, 3], -0.01)])
+    _rejected_by_both(TVProblem(x0=0, x1=0.1), [CandidateRun([2, 3], -0.01)], "^candidate weights must be nonnegative$")
+
+
+def test_empty_run_is_skipped():
+    g = 30.0
+    prob = TVProblem(x0=0, x1=2 / g)
+    empty = CandidateRun((), -1.0)
+    sol = _fill_both(prob, [empty, Candidate(2, 2, 1 / g), empty, CandidateRun((3, 5, 7), 1 / g), empty]
+                     + [Candidate(q, q, 1 / g) for q in sieve_primes(200)[4:]])
+    assert [c.norm for c in sol.prefix[:5]] == [2, 3, 5, 7, 11] and empty not in sol.filled
+    assert optimize(TVProblem(x0=0, x1=0), [empty, CandidateRun([], 0.01)]).degenerate
 
 
 def test_zero_weight_run_fills_nothing():
