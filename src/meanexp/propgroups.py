@@ -53,7 +53,8 @@ WITNESS_N_MAX = 1022
 
 @dataclass(frozen=True)
 class GSGroupParams:
-    """Presentation data: d generators, r relations with given degrees."""
+    """Presentation data: d generators, r relations with given degrees
+    (no degrees: all r relations are quadratic)."""
 
     d: int
     r: int
@@ -67,12 +68,12 @@ class GSGroupParams:
             raise DomainError("relation rank must be nonnegative")
         if not is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
-        degrees = self.relation_degrees or tuple([2] * self.r)
-        if len(degrees) != self.r:
+        degrees = tuple(self.relation_degrees)
+        if degrees and len(degrees) != self.r:
             raise DomainError("one degree per relation required")
         if any(a < 2 for a in degrees):
             raise DomainError("relation degrees must be >= 2")
-        object.__setattr__(self, "relation_degrees", tuple(degrees))
+        object.__setattr__(self, "relation_degrees", degrees)
 
     @property
     def quadratic(self) -> bool:
@@ -137,7 +138,7 @@ def power_sums(d: int, r: int, up_to: int) -> list[int]:
 def _relation_polynomial(params: GSGroupParams) -> list[tuple[int, int]]:
     """Support [(j, e_j)] of P(T) = 1 - d*T + sum_i T^{a_i} past its constant
     term: the inverse of the GS series, ascending in j."""
-    degree_counts: dict[int, int] = {}
+    degree_counts = {2: params.r} if params.r and not params.relation_degrees else {}
     for a in params.relation_degrees:
         degree_counts[a] = degree_counts.get(a, 0) + 1
     return [(1, -params.d), *sorted(degree_counts.items())]

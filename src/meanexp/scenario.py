@@ -18,7 +18,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain, repeat, takewhile
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
@@ -648,12 +650,15 @@ def dump_report(report: dict, precision: int | None = None) -> str:
 
     The text is byte-identical to ``json.dumps(report, sort_keys=True,
     indent=2)``.  That call runs json's encoder written in Python, because
-    the C encoder runs only without ``indent``; here the C encoder does the
-    work, with the indent folded into its item separator.  One encoder call
-    emits each scalar, each empty container, each container whose children
-    are all scalars, and each list of non-empty dicts of scalars (the rows of
-    ``tv.prefix`` and of a witness scan).  Any other container is emitted
-    child by child.
+    the C encoder runs only without ``indent``.  Here json's C encoder, with
+    the indent folded into its item separator, emits each scalar, each empty
+    container and each container whose children are all scalars in one call.
+    A list of rows (the rows of ``tv.prefix`` and of a witness scan: dicts
+    with the same ``str`` keys and scalar values) is encoded a column at a
+    time: each column is turned into text at C speed, and the rows are
+    assembled by one join over the columns and the pre-encoded keys.  Any
+    other container, and a slice of rows whose keys differ or are not all
+    ``str``, is emitted child by child.
     """
     if precision is not None:
         report = _round_floats(report, precision)
@@ -685,20 +690,6 @@ def _emit_json(obj, depth: int, out: list[str]) -> None:
             sep = "," + inner
         out += (outer, "]")
         return
-    if (not is_dict and kinds == {dict} and all(obj)
-            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALAR_TYPES):
-        # The C encoder escapes every newline inside a string, no scalar ends
-        # in "}" and no key starts with "{", so "},\n" + indent + "{" occurs
-        # only between two rows.
-        row = "\n" + "  " * (depth + 2)
-        encode, between = _encode_at(depth + 2), inner + "}," + inner + "{" + row
-        sep = "[" + inner + "{" + row
-        for at in range(0, len(obj), _ITEMS_PER_CALL):
-            text = encode(obj[at : at + _ITEMS_PER_CALL])
-            out += (sep, text.replace("}," + row + "{", between)[2:-2])
-            sep = between
-        out += (inner, "}", outer, "]")
-        return
     if is_dict:
         # a one-item dict gives json's own text for the key, non-str keys included
         sep = "{" + inner
@@ -708,12 +699,73 @@ def _emit_json(obj, depth: int, out: list[str]) -> None:
             sep = "," + inner
         out += (outer, "}")
         return
-    sep = "[" + inner
-    for value in obj:
-        out.append(sep)
-        _emit_json(value, depth + 1, out)
-        sep = "," + inner
+    lead = "["
+    for at in range(0, len(obj), _ITEMS_PER_CALL):
+        items = obj[at : at + _ITEMS_PER_CALL]
+        text = _rows_text(items, inner, lead) if kinds == {dict} else None
+        if text is not None:
+            out.append(text)
+        else:
+            for value in items:
+                out.append(lead + inner)
+                _emit_json(value, depth + 1, out)
+                lead = ","
+        lead = ","
     out += (outer, "]")
+
+
+def _rows_text(rows, inner: str, lead: str) -> str | None:
+    """The text of dicts with the same str keys and scalar values, each row
+    after lead (the first) or "," (the rest) and inner; None for other dicts."""
+    if len(set(map(len, rows))) != 1 or not rows[0] or not all(type(k) is str for k in rows[0]):
+        return None
+    keys = sorted(rows[0])
+    get = itemgetter(*keys)
+    try:
+        columns = list(zip(*map(get, rows))) if len(keys) > 1 else [list(map(get, rows))]
+    except KeyError:
+        return None
+    texts = list(map(_column_text, columns))
+    if None in texts:
+        return None
+    heads = [inner + "  " + encode_basestring_ascii(key) + ": " for key in keys]
+    first = inner + "{" + heads[0]
+    parts = [chain((lead + first,), repeat("," + first)), texts[0]]
+    for head, text in zip(heads[1:], texts[1:]):
+        parts += (repeat("," + head), text)
+    parts.append(repeat(inner + "}"))
+    return "".join(chain.from_iterable(zip(*parts)))
+
+
+def _column_text(column):
+    """json's text for each value of a column of scalars; None if one is not a scalar."""
+    kinds = set(map(type, column))
+    if not kinds <= _SCALAR_TYPES:
+        return None
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    distinct = set(column)
+    # 1, True and 1.0 compare equal, as 0.0 and -0.0 do, yet each prints differently
+    if len(kinds) > 1 or (kinds == {float} and 0.0 in distinct):
+        return map(_scalar_text, column)
+    return map({value: _scalar_text(value) for value in distinct}.__getitem__, column)
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_text(value) -> str:
+    """json's text for a value of one of _SCALAR_TYPES."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    return _LITERALS[value]
 
 
 def _round_floats(obj, precision: int):

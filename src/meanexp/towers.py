@@ -23,7 +23,16 @@ def genus_rank_bound(rho: int, r1: int, r2: int, delta: int) -> int:
     """Genus-theory p-rank bound for a cyclic degree-p extension:
     rho - 1 - (r1 + r2 - 1 + delta), rho counting ramified places of the base
     (archimedean ones included when p = 2)."""
+    _require_nonnegative(rho=rho, r1=r1, r2=r2)
+    if r1 + r2 == 0:
+        raise DomainError("r1 + r2 must be positive: a number field has an archimedean place")
     return rho - 1 - (r1 + r2 - 1 + delta)
+
+
+def _require_nonnegative(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 0:
+            raise DomainError(f"{name} must be nonnegative, got {value}")
 
 
 class GSVerdict(enum.Enum):
@@ -93,10 +102,9 @@ def critere_real_quadratic(rho: int, t_dec: int, t_total: int) -> bool:
     """Specialization to real quadratic base fields and odd T:
     the T-split 2-tower is infinite once rho >= 4 + |T_dec| + 2*sqrt(3 + |T|),
     rho counting ramified primes outside T."""
+    _require_nonnegative(rho=rho, t_dec=t_dec, t_total=t_total)
     if t_dec > t_total:
         raise DomainError(f"t_dec = {t_dec} exceeds t_total = {t_total}")
-    if min(rho, t_dec) < 0:
-        raise DomainError("inputs must be nonnegative")
     return _geq_plus_2sqrt(rho, 4 + t_dec, 3 + t_total)
 
 

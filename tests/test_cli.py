@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanexp import cli
 
@@ -199,6 +204,13 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys):
         (["tv-bound", "--scenario", str(path)], "g_override"),
         (["mean-exponent", "--shape", "p:x"], "--shape"),
         (["propgroup", "ranks", "--d", "4", "--r", "4", "--degrees", "2,x"], "--degrees"),
+        (["genus-bound", "--rho", "-1", "--r1", "2", "--r2", "0", "--delta", "1", "--json"], "rho must"),
+        (["genus-bound", "--rho", "6", "--r1", "-2", "--r2", "0", "--delta", "1", "--json"], "r1 must"),
+        (["genus-bound", "--rho", "6", "--r1", "1", "--r2", "-1", "--delta", "1"], "r2 must"),
+        (["genus-bound", "--rho", "6", "--r1", "0", "--r2", "0", "--delta", "1"], "r1 + r2 must"),
+        (["critere", "--rho", "8", "--t-dec", "0", "--t-total", "-1"], "t_total must"),
+        (["critere", "--rho", "8", "--t-dec", "-1", "--t-total", "1"], "t_dec must"),
+        (["critere", "--rho", "-1", "--t-dec", "0", "--t-total", "1"], "rho must"),
     ]:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
@@ -345,3 +357,75 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
     fresh = [_outcome(argv, capsys) for argv in _INTERLEAVED * 2]
     assert cached == fresh
     assert {code for code, _, _ in fresh} == {0, 2, 64}
+
+
+# The numeric flags of every subcommand: negatives, 0, huge ints and
+# non-numbers.  --N stays at most 8, so a witness scan reaches order 511 and
+# no case holds more than a few MB, even with a 31-digit --d.
+_HUGE = 10**30
+_INT = st.one_of(
+    st.integers(-4, 12).map(str),
+    st.sampled_from([str(_HUGE), str(-_HUGE), str(2**63), "x", "1.5", "", "1e3"]),
+)
+_SMALL_N = st.one_of(st.integers(-3, 8).map(str), st.sampled_from([str(_HUGE), str(-_HUGE), "x", "1.5"]))
+_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "x", ""]),
+)
+_DEGREES = st.lists(_INT, max_size=3).map(",".join)
+_DISC = st.one_of(st.integers(-(10**6), 10**6).map(str), _INT)
+_SHAPE = st.tuples(_INT, _INT, _INT).map(lambda t: "p:{},exps:{},{}".format(*t))
+_GS = {"--d": _INT, "--r": _INT, "--p": _INT, "--N": _SMALL_N, "--degrees": _DEGREES}
+_NUMERIC_FLAGS = {
+    ("mean-exponent",): {"--shape": _SHAPE},
+    ("genus-bound",): {"--rho": _INT, "--r1": _INT, "--r2": _INT, "--delta": _INT},
+    ("gs-check",): {"--d": _INT, "--r-upper": _INT},
+    ("critere",): {"--rho": _INT, "--t-dec": _INT, "--t-total": _INT},
+    ("propgroup", "series"): _GS,
+    ("propgroup", "ranks"): _GS,
+    ("propgroup", "witnesses"): {**_GS, "--eps": _FLOAT},
+    ("oracle", "class-group"): {"--disc": _DISC},
+}
+
+
+def _count_exit(command: str, values: dict) -> int:
+    """The exit code genus-bound and critere must give for these flag values;
+    a --precision, when given, must be a nonnegative integer as well."""
+    counts = {flag: int(text) for flag, text in values.items() if re.fullmatch(r"-?[0-9]+", text)}
+    if len(counts) < len(values) or min(counts.values()) < 0:
+        return 2
+    if command == "genus-bound":
+        return 2 if counts["--r1"] + counts["--r2"] == 0 or counts["--delta"] not in (0, 1) else 0
+    return 2 if counts["--t-dec"] > counts["--t-total"] else 0
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_numeric_flags_exit_documented_codes(data):
+    command = data.draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    flags = dict(_NUMERIC_FLAGS[command])
+    if data.draw(st.booleans(), label="with --precision"):
+        flags["--precision"] = _INT
+    values = {flag: data.draw(strategy, label=flag) for flag, strategy in flags.items()}
+    argv = [*command, *(token for item in values.items() for token in item), "--json"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a value its type cannot read
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if command[0] in ("genus-bound", "critere"):
+        assert code == _count_exit(command[0], values), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("mode", ["series", "ranks", "witnesses"])
+def test_propgroup_reads_a_relation_count_of_any_size(mode, capsys):
+    # without --degrees the r quadratic relations are a count, never a list of r degrees
+    d, r = 10**20, 10**30
+    code, out, err = run_cli(["propgroup", mode, "--d", str(d), "--r", str(r), "--p", "3", "--N", "3", "--json"], capsys)
+    assert code == 0 and err == ""
+    if mode == "series":
+        # 1 / (1 - dT + rT^2) = 1 + dT + (d^2 - r)T^2 + (d^3 - 2dr)T^3 + ...
+        assert json.loads(out)["coeffs"] == [1, d, d * d - r, d**3 - 2 * d * r]

@@ -351,6 +351,70 @@ def test_dump_report_edge_cases_match_indented_json(obj):
     assert dump_report(obj) == _indented(obj)
 
 
+# The columns of one row list: each draws its values from one of these.
+# Some are of a single type (read through a memo of distinct values); the
+# mixes hold values that compare equal but print differently: 1, True, 1.0
+# and 0.0, -0.0; every nan drawn is a new object.
+_NAN = st.builds(float, st.just("nan"))
+_COLUMN_VALUES = [
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([0, 7, 2**200, -(2**200)]),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+    st.sampled_from(["kind", "split_full", "é"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.one_of(_NAN, st.sampled_from([1.5, float("inf"), float("-inf")])),
+    st.sampled_from([0.0, -0.0, 2.5]),
+    _NAN,
+    st.sampled_from([1, True, 1.0]),
+    st.sampled_from([0, False, 0.0, -0.0, None]),
+    _SCALAR,
+]
+
+
+@st.composite
+def _same_keyed_rows(draw):
+    """A row list over one key list, sometimes with one row's keys changed
+    (an other str key, or non-str keys) and sometimes nested."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(1, 40))
+    columns = [draw(st.lists(draw(st.sampled_from(_COLUMN_VALUES)), min_size=n, max_size=n)) for _ in keys]
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    change, at = draw(st.sampled_from(["none", "other key", "non-str keys"])), draw(st.integers(0, n - 1))
+    if change == "other key":
+        row = rows[at]
+        row[draw(_TEXT.filter(lambda key: key not in keys))] = row.pop(draw(st.sampled_from(keys)))
+    elif change == "non-str keys":
+        key_type = draw(st.sampled_from([int, float]))
+        rows[at] = {key_type(i): value for i, value in enumerate(rows[at].values())}
+    obj = rows
+    for key in draw(st.lists(_TEXT, max_size=2)):
+        obj = {key: obj}
+    return obj
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_same_keyed_rows())
+def test_dump_report_same_keyed_rows_match_indented_json(obj):
+    assert dump_report(obj) == _indented(obj)
+
+
+@pytest.mark.parametrize("at", [0, 1, 511, 512, 513, 599])
+@pytest.mark.parametrize(
+    "odd",
+    [{"n": 1, "t": "x", "y": 2.0}, {"n": 1, "s": "x"}, {1: "a", 2: "b"}, {"n": {"m": 1}, "s": "x"},
+     {"n": [1], "s": "x"}, {"n": 0.0, "s": "x"}, {}, {"n": True, "s": "x"}],
+    ids=["other-key", "shorter", "int-keys", "dict-value", "list-value", "zero", "empty", "bool"],
+)
+def test_dump_report_row_list_with_one_odd_row(at, odd):
+    # the slice that holds the odd row is emitted row by row, the others a column at a time
+    rows = [{"n": i, "s": str(i), "x": i / 4} for i in range(600)]
+    rows[at] = odd
+    for obj in (rows, {"a": [rows]}):
+        assert dump_report(obj) == _indented(obj)
+
+
 @pytest.mark.parametrize("n", [511, 512, 513, 1024, 1537])
 def test_dump_report_long_lists_match_indented_json(n):
     # long lists are encoded a slice at a time; every slice boundary must
@@ -361,20 +425,22 @@ def test_dump_report_long_lists_match_indented_json(n):
 
 
 def test_dump_report_peak_memory_stays_below_indented_json():
-    import tracemalloc
-
     from meanexp.propgroups import GSGroupParams, gs_ranks
 
     # the shape of a large `propgroup ranks --json` payload (about 220 KB)
-    payload = {"d": 4, "r": 4, "p": 3, "b": list(gs_ranks(GSGroupParams(d=4, r=4, p=3), 1200).b)}
-    peaks = []
-    for dump in (dump_report, _indented):
-        tracemalloc.start()
-        text = dump(payload)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        del text
-    assert peaks[0] <= peaks[1], peaks
+    ranks = {"d": 4, "r": 4, "p": 3, "b": list(gs_ranks(GSGroupParams(d=4, r=4, p=3), 1200).b)}
+    # the x1_num = 0.03 rung: about 9,400 `tv.prefix` rows, 1.4 MB of text
+    rung = run_scenario_data(_deep("example1", 0.03))
+    assert len(rung["tv"]["prefix"]) > 9000
+    for payload in (ranks, rung):
+        peaks = []
+        for dump in (dump_report, _indented):
+            tracemalloc.start()
+            text = dump(payload)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            del text
+        assert peaks[0] <= peaks[1], peaks
 
 
 @pytest.mark.parametrize(

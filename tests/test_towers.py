@@ -38,6 +38,26 @@ def test_genus_rank_bound():
         assert bound >= (t - 1) * m
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 2, 0, 1), "rho must be nonnegative, got -1"),
+        ((6, -2, 0, 1), "r1 must be nonnegative, got -2"),
+        ((6, 1, -1, 1), "r2 must be nonnegative, got -1"),
+        ((6, 0, 0, 1), "r1 \\+ r2 must be positive"),
+        ((0, 0, 0, 0), "r1 \\+ r2 must be positive"),
+    ],
+)
+def test_genus_rank_bound_rejects_negative_counts(args, message):
+    with pytest.raises(DomainError, match=message):
+        genus_rank_bound(*args)
+
+
+def test_genus_rank_bound_accepts_zero_counts():
+    assert genus_rank_bound(0, 1, 0, 0) == -1
+    assert genus_rank_bound(0, 0, 1, 1) == -2
+
+
 def test_gs():
     assert gs_finite_requires(16) == 64
     assert gs_verdict(16, 48) is GSVerdict.MUST_BE_INFINITE
@@ -72,8 +92,22 @@ def test_critere_real_quadratic():
     assert critere_real_quadratic(21, 7, 22)  # equality: 21 = 11 + 2*sqrt(25)
     assert critere_real_quadratic(8, 0, 1)  # equality: 8 = 4 + 2*sqrt(4)
     assert not critere_real_quadratic(5, 0, 0)  # 5 < 4 + 2*sqrt(3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^t_dec = 3 exceeds t_total = 2$"):
         critere_real_quadratic(10, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((8, 0, -1), "^t_total must be nonnegative, got -1$"),
+        ((8, -1, 1), "^t_dec must be nonnegative, got -1$"),
+        ((-1, 0, 1), "^rho must be nonnegative, got -1$"),
+        ((8, -2, -1), "^t_dec must be nonnegative, got -2$"),
+    ],
+)
+def test_critere_rejects_negative_counts_before_comparing(args, message):
+    with pytest.raises(DomainError, match=message):
+        critere_real_quadratic(*args)
 
 
 def test_critere_monotonicity():
