@@ -10,7 +10,6 @@ serializing them with sorted keys is byte-stable across runs.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -214,7 +213,7 @@ def parse_scenario(data: dict) -> Scenario:
     eps_caps = {}
     for loc, entry in _entries(tvsec, "eps_caps", {"prime", "eps_num"}):
         _expect(_is_prime(entry["prime"]), "prime required", loc)
-        _expect(_is_number(entry["eps_num"]), "eps_num must be a number", loc)
+        _expect(_is_number(entry["eps_num"]) and entry["eps_num"] >= 0, "eps_num must be a number >= 0", loc)
         eps_caps[entry["prime"]] = float(entry["eps_num"])
 
     overrides = {}
@@ -298,6 +297,9 @@ def load_scenario(path) -> Scenario:
         raise SchemaError(f"cannot read scenario: {exc}", location=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", location=f"{path}:line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an int literal past sys.get_int_max_str_digits, or nested too deeply
+        raise SchemaError(f"invalid JSON: {exc}", location=str(path)) from exc
     return parse_scenario(data)
 
 
@@ -639,26 +641,19 @@ _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 _ITEMS_PER_CALL = 512
 
 
-@functools.cache
-def _encode_at(depth: int):
-    """json's C encoder, with indent=2's item separator for items at ``depth``."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
-
-
 def dump_report(report: dict, precision: int | None = None) -> str:
     """Deterministic JSON text; identical inputs give identical bytes.
 
     The text is byte-identical to ``json.dumps(report, sort_keys=True,
-    indent=2)``.  That call runs json's encoder written in Python, because
-    the C encoder runs only without ``indent``.  Here json's C encoder, with
-    the indent folded into its item separator, emits each scalar, each empty
-    container and each container whose children are all scalars in one call.
-    A list of rows (the rows of ``tv.prefix`` and of a witness scan: dicts
-    with the same ``str`` keys and scalar values) is encoded a column at a
-    time: each column is turned into text at C speed, and the rows are
-    assembled by one join over the columns and the pre-encoded keys.  Any
-    other container, and a slice of rows whose keys differ or are not all
-    ``str``, is emitted child by child.
+    indent=2)``, which runs json's encoder written in Python.  This one
+    writes the same pieces, with one function, ``_scalar_text``, for every
+    scalar and every non-``str`` key, and two shortcuts: a list slice of
+    exact scalars is encoded as one column (``_column_text``), and a slice
+    of rows (dicts with the same ``str`` keys and scalar values, as in
+    ``tv.prefix`` and a witness scan) a column at a time, assembled by one
+    join over the columns and the pre-encoded keys.  Any other container is
+    emitted child by child.  A value json cannot encode raises json's
+    ``TypeError``.
     """
     if precision is not None:
         report = _round_floats(report, precision)
@@ -673,50 +668,42 @@ def _emit_json(obj, depth: int, out: list[str]) -> None:
     A long list is encoded _ITEMS_PER_CALL items at a time, so that its
     whole text is never held twice before the one join at the top.
     """
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        out.append(_encode_at(0)(obj))
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(_scalar_text(obj))
+        return
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
         return
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    is_dict = isinstance(obj, dict)
-    kinds = set(map(type, obj.values() if is_dict else obj))
-    if kinds <= _SCALAR_TYPES:
-        if is_dict:
-            text = _encode_at(depth + 1)(obj)
-            out += (text[0], inner, text[1:-1], outer, text[-1])
-            return
-        encode, sep = _encode_at(depth + 1), "[" + inner
-        for at in range(0, len(obj), _ITEMS_PER_CALL):
-            out += (sep, encode(obj[at : at + _ITEMS_PER_CALL])[1:-1])
-            sep = "," + inner
-        out += (outer, "]")
-        return
-    if is_dict:
-        # a one-item dict gives json's own text for the key, non-str keys included
+    if isinstance(obj, dict):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out += (sep, _encode_at(0)({key: 0})[1:-4], ": ")
+            out += (sep, encode_basestring_ascii(key if isinstance(key, str) else _scalar_text(key)), ": ")
             _emit_json(value, depth + 1, out)
             sep = "," + inner
         out += (outer, "}")
         return
-    lead = "["
+    sep = "[" + inner
     for at in range(0, len(obj), _ITEMS_PER_CALL):
         items = obj[at : at + _ITEMS_PER_CALL]
-        text = _rows_text(items, inner, lead) if kinds == {dict} else None
+        texts = _column_text(items)
+        text = ("," + inner).join(texts) if texts is not None else _rows_text(items, inner)
         if text is not None:
-            out.append(text)
-        else:
-            for value in items:
-                out.append(lead + inner)
-                _emit_json(value, depth + 1, out)
-                lead = ","
-        lead = ","
+            out += (sep, text)
+            sep = "," + inner
+            continue
+        for value in items:
+            out.append(sep)
+            _emit_json(value, depth + 1, out)
+            sep = "," + inner
     out += (outer, "]")
 
 
-def _rows_text(rows, inner: str, lead: str) -> str | None:
-    """The text of dicts with the same str keys and scalar values, each row
-    after lead (the first) or "," (the rest) and inner; None for other dicts."""
+def _rows_text(rows, inner: str) -> str | None:
+    """The text of dicts with the same str keys and scalar values, joined
+    by "," and inner; None for any other items."""
+    if not all(type(row) is dict for row in rows):
+        return None
     if len(set(map(len, rows))) != 1 or not rows[0] or not all(type(k) is str for k in rows[0]):
         return None
     keys = sorted(rows[0])
@@ -729,8 +716,8 @@ def _rows_text(rows, inner: str, lead: str) -> str | None:
     if None in texts:
         return None
     heads = [inner + "  " + encode_basestring_ascii(key) + ": " for key in keys]
-    first = inner + "{" + heads[0]
-    parts = [chain((lead + first,), repeat("," + first)), texts[0]]
+    first = "{" + heads[0]
+    parts = [chain((first,), repeat("," + inner + first)), texts[0]]
     for head, text in zip(heads[1:], texts[1:]):
         parts += (repeat("," + head), text)
     parts.append(repeat(inner + "}"))
@@ -738,7 +725,8 @@ def _rows_text(rows, inner: str, lead: str) -> str | None:
 
 
 def _column_text(column):
-    """json's text for each value of a column of scalars; None if one is not a scalar."""
+    """json's text for each value of a column of exact scalars; None if one is
+    not of _SCALAR_TYPES."""
     kinds = set(map(type, column))
     if not kinds <= _SCALAR_TYPES:
         return None
@@ -756,16 +744,18 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _scalar_text(value) -> str:
-    """json's text for a value of one of _SCALAR_TYPES."""
-    kind = type(value)
-    if kind is str:
+    """json's text for a scalar, subclasses of str, int and float included;
+    TypeError for any other value, as json's encoder raises."""
+    if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if kind is int:
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
+    if isinstance(value, int):
         return int.__repr__(value)
-    if kind is float:
+    if isinstance(value, float):
         text = float.__repr__(value)
         return _NONFINITE.get(text, text)
-    return _LITERALS[value]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _round_floats(obj, precision: int):

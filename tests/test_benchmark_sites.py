@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from meanexp import cli
+from meanexp import cli, scenario
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,9 +31,13 @@ def test_traced_scenario_counts_its_layers(tracer):
     t = tracer.Tracer()
     with t.installed():
         assert tracer.check_pristine() != []
-        cli.run_packaged_example("example1")
+        report = cli.run_packaged_example("example1")
+        # the dump span sees the one dump and counts its bytes
+        text = scenario.dump_report(report)
     assert tracer.check_pristine() == []
     layers = t.layer_metrics()
     assert layers["tv.optimize.calls"] == 1
+    assert t.stats["scenario.dump_report"][0] == 1
+    assert t.counts["scenario.report_bytes"] == len(text)
     assert layers["scenario.run_scenario.self_ms"] > 0
     assert t.counts["scenario.candidates_useful"] > 0

@@ -200,8 +200,15 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    # files json.load cannot read: not UTF-8, an int past Python's int-to-str
+    # digit limit, and arrays nested past the recursion limit
+    unreadable = {"latin1.json": b'{"label": "\xe9"}', "digits.json": b'{"p": ' + b"7" * 5000 + b"}",
+                  "nested.json": b"[" * 100_000 + b"]" * 100_000}
+    for name, data in unreadable.items():
+        (tmp_path / name).write_bytes(data)
     for argv, location in [
         (["tv-bound", "--scenario", str(path)], "g_override"),
+        *[(["tv-bound", "--scenario", str(tmp_path / name)], str(tmp_path / name)) for name in unreadable],
         (["mean-exponent", "--shape", "p:x"], "--shape"),
         (["propgroup", "ranks", "--d", "4", "--r", "4", "--degrees", "2,x"], "--degrees"),
         (["genus-bound", "--rho", "-1", "--r1", "2", "--r2", "0", "--delta", "1", "--json"], "rho must"),

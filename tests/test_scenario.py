@@ -1,10 +1,12 @@
 import copy
+import enum
 import hashlib
 import heapq
 import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from importlib import resources
 from itertools import chain, takewhile
 
@@ -327,6 +329,19 @@ def test_dump_report_matches_indented_json(obj):
     assert dump_report(obj) == _indented(obj)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class _Real(float):
+    pass
+
+
+class _Name(str):
+    pass
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -345,10 +360,33 @@ def test_dump_report_matches_indented_json(obj):
         {"deep": {"prefix": [{"n": 2**70, "w": -0.0}, {"n": float("nan"), "w": float("-inf")}]}},
         {2: [{"a": 1}], 1.5: {"b": [True, None]}},
         0, -0.0, "", None, float("inf"), [], {},
+        # subclasses of int, float and str: as values, as keys, in a column and in a row column
+        _Level.HIGH, _Real(-1.5), _Name("é"),
+        [_Level.LOW, _Real(float("nan")), _Name("x"), 3],
+        {_Level.HIGH: _Real(2.5), _Real(0.5): _Level.LOW, 3: 1},
+        {_Name("b"): _Name("c"), "a": True},
+        [{"n": _Level.LOW, "s": "x"}, {"n": 2, "s": _Name("y")}, {"n": _Real(1.5), "s": "z"}],
+        [{_Name("n"): 1}, {"n": 2}],
+        # literal and non-finite keys
+        {True: 1, False: [0], 2: None},
+        {None: {"a": None}},
+        {float("nan"): 1.0, float("inf"): 2, float("-inf"): 3, -0.0: 4},
     ],
 )
 def test_dump_report_edge_cases_match_indented_json(obj):
     assert dump_report(obj) == _indented(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [Fraction(1, 3), {"a": Fraction(1, 3)}, [1, Fraction(1, 3)], [{"a": {1, 2}}, {"a": 1}], {"a": {1, 2}},
+     {(1, 2): 1}, {"a": [{(1, 2): 1}]}],
+)
+def test_dump_report_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        _indented(obj)
+    with pytest.raises(TypeError):
+        dump_report(obj)
 
 
 # The columns of one row list: each draws its values from one of these.
@@ -853,6 +891,7 @@ def test_large_prime_power_norms_parse_without_factoring():
         ("tv", "sigma_fixed", [{"q": 6, "num": 1}], "tv.sigma_fixed[0]"),
         (None, "ray_sigma", {"norms": [4]}, "ray_sigma.norms[0]"),
         (None, "ray_sigma", {"norms": [7], "split_completely": "no"}, "ray_sigma.split_completely"),
+        ("tv", "eps_caps", [{"prime": 2, "eps_num": -2}], "tv.eps_caps[0]"),
     ],
 )
 def test_malformed_input_names_its_location(section, key, value, location):
