@@ -148,6 +148,16 @@ def _cmd_paper_example(args) -> dict:
 #: float-log window ends 2^(N+1) no longer convert to floats.
 PROPGROUP_N_MAX = {"series": 10_000, "ranks": 10_000, "witnesses": propgroups.WITNESS_N_MAX}
 
+#: Largest --d of witnesses is 10^WITNESS_D_EXP, and --r at most its square.
+#: The exact rows hold the power sums V_m, m <= 4095, of the reciprocal roots
+#: of 1 - dT + sum T^(a_i), each root below 2*max(d, sqrt(r)) (Fujiwara's
+#: bound), so V_4095 has at most about 4095*(WITNESS_D_EXP + 0.3) digits.
+#: The exponent is set by the largest --d the tests feed propgroup (10^20,
+#: with --r 10^30); at it a scan takes about 0.6 s and 135 MB, and V_4095
+#: stays under 84,000 digits.
+WITNESS_D_EXP = 20
+WITNESS_D_MAX = 10**WITNESS_D_EXP
+
 
 def _printable(values, what: str) -> list[int]:
     """values as a list, or SchemaError when one of them has more decimal
@@ -167,6 +177,10 @@ def _cmd_propgroup(args) -> dict:
         raise SchemaError(
             f"expected at most {PROPGROUP_N_MAX[args.mode]} for {args.mode}, got {args.N}", location="--N"
         )
+    if args.mode == "witnesses" and args.d > WITNESS_D_MAX:
+        raise SchemaError(f"expected at most 10^{WITNESS_D_EXP} for witnesses, got {args.d}", location="--d")
+    if args.mode == "witnesses" and args.r > WITNESS_D_MAX**2:
+        raise SchemaError(f"expected at most 10^{2 * WITNESS_D_EXP} for witnesses, got {args.r}", location="--r")
     params = propgroups.GSGroupParams(
         d=args.d,
         r=args.r,

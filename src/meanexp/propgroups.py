@@ -21,23 +21,22 @@ starts from the nonzero terms (j, e_j) of the inverse series 1/U:
    inverted first, at O(N^2) for a dense inverse;
 2. fold in the p-th powers: V_m = w_m + p * V_{m/p} (second term only when
    p | m), so that V_m = sum_{i | m} i*b_i;
-3. invert that divisor sum with a Moebius sieve into a separate correction
-   list, corr[i] = sum_{e | i, e >= 2} mu(e) V_{i/e}, adding V_k where
-   mu(e) = 1 and subtracting it where mu(e) = -1 along strided slices; each
-   V_i is then read once, by divmod(V_i + corr[i], i).
+3. invert that divisor sum, i*b_i = sum_{e | i} mu(e) V_{i/e}, in place by
+   one strided pass per prime q <= N, V_m -> V_m - V_{m/q} for q | m (the
+   Moebius function is the product of the factors 1 - q^-s), and divide
+   each i*b_i by i.
 
 The float-log witness regime (quadratic relations only) reads its divisors
-and Moebius values from the same sieve.  power_sums (the integer recurrence
-s_m = d*s_{m-1} - r*s_{m-2}, exact for any sign of d^2 - 4r) shares no code
-with this route and serves as a check on it.
+and Moebius values from a table sieved on the same primes.  power_sums (the
+integer recurrence s_m = d*s_{m-1} - r*s_{m-2}, exact for any sign of
+d^2 - 4r) shares no code with this route and serves as a check on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt
-from operator import add, sub
+from operator import sub
 
 from .arith import is_prime, left_sum, sieve_primes
 from .errors import DomainError, InapplicableError, SeriesError
@@ -173,39 +172,31 @@ def _ranks_from_inverse(support: list[tuple[int, int]], p: int, order: int) -> Z
     Raises SeriesError at the first i whose b_i is not integral, or else
     negative, checking integrality first.
     """
-    # Newton: w_m = -m*e_m - sum_{j in supp, j < m} e_j w_{m-j}; then, in
-    # place, V_m = w_m + p*V_{m/p}
-    v = [0] * (order + 1)
+    # Newton: w_m = -m*e_m - sum_{j in supp, j < m} e_j w_{m-j}, with w_m at
+    # v[pad + m], so that the pad zeros below w_1 stand in for the j >= m
+    support = [(j, e_j) for j, e_j in support if j <= order]
+    pad = support[-1][0] if support else 0
+    v = [0] * (pad + order + 1)
     for j, e_j in support:
-        if j <= order:
-            v[j] = -j * e_j
-    for m in range(1, order + 1):
-        w_m = v[m]
+        v[pad + j] = -j * e_j
+    for k in range(pad + 1, pad + order + 1):
+        w = v[k]
         for j, e_j in support:
-            if j >= m:
-                break
-            w_m -= e_j * v[m - j]
-        v[m] = w_m
+            w -= e_j * v[k - j]
+        v[k] = w
+    del v[:pad]
+    # in place, V_m = w_m + p*V_{m/p}
     for m in range(p, order + 1, p):
         v[m] += p * v[m // p]
-    # corr[i] = sum_{e | i, e >= 2} mu(e) V_{i/e}, so that i*b_i = V_i +
-    # corr[i].  The e above isqrt(order) come first, one strided slice per
-    # k (few k, and small V_k); then each smaller e, high to low, one
-    # strided slice of V_1.. per e.  +V_k where mu(e) = 1, -V_k where -1.
-    mu = _moebius_table(order)
-    corr = [0] * (order + 1)
-    split = isqrt(order)
-    for k in range(1, order // (split + 1) + 1):
-        at = slice((split + 1) * k, order // k * k + 1, k)
-        signed = (0, v[k], -v[k])  # indexed by mu(e)
-        corr[at] = map(add, corr[at], map(signed.__getitem__, mu[split + 1 : order // k + 1]))
-    for e in range(split, 1, -1):
-        if mu[e]:
-            corr[e::e] = map(add if mu[e] > 0 else sub, corr[e::e], v[1 : order // e + 1])
+    # i*b_i = sum_{e | i} mu(e) V_{i/e}: mu is the Dirichlet product of
+    # (1 - q^-s) over the primes q, so one pass per prime q <= order takes
+    # V_m - V_{m/q} at each multiple m of q, reading the values before it
+    for q in sieve_primes(order) if order >= 2 else ():
+        v[q::q] = map(sub, v[q::q], v[1 : order // q + 1])
     for i in range(1, order + 1):
-        b_i, rest = divmod(v[i] + corr[i], i)
+        b_i, rest = divmod(v[i], i)
         if rest:
-            raise SeriesError(f"rank b_{i} is not integral ({v[i] + corr[i]}/{i})")
+            raise SeriesError(f"rank b_{i} is not integral ({v[i]}/{i})")
         if b_i < 0:
             raise SeriesError(f"rank b_{i} = {b_i} < 0: series is not realizable at p = {p}")
         v[i] = b_i
@@ -429,11 +420,12 @@ def theo2_witnesses(
     if n_max > WITNESS_N_MAX:
         raise DomainError(f"n_max must be at most {WITNESS_N_MAX}, got {n_max}")
     rows: list[WitnessRow] = []
-    exact_top = min(2 ** (n_max + 1) - 1, exact_limit)
-    ranks = gs_ranks(params, exact_top) if exact_top >= 1 else None
+    # rows 1..n_exact are exact: 2^(n+1) - 1 <= exact_limit
+    n_exact = min(n_max, (max(exact_limit, 0) + 1).bit_length() - 2)
+    ranks = gs_ranks(params, 2 ** (n_exact + 1) - 1) if n_exact >= 1 else None
 
     for n in range(1, n_max + 1):
-        if 2 ** (n + 1) - 1 <= exact_limit:
+        if n <= n_exact:
             il = index_log(ranks, n)
             wr = window_rank(ranks, n)
             try:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanexp import cli
+from meanexp import cli, propgroups
 
 
 def run_cli(argv, capsys):
@@ -314,6 +314,26 @@ def test_propgroup_n_at_its_maximum_runs(capsys):
     assert [i for i, b in enumerate(json.loads(out)["b"], 1) if b] == [2**k for k in range(14)]
 
 
+def test_witness_d_and_r_past_their_maximum_exit_2(capsys, monkeypatch):
+    # rejected before any rank is computed
+    monkeypatch.setattr(propgroups, "gs_ranks", None)
+    exp = cli.WITNESS_D_EXP
+    for flag, limit, text in (("--d", cli.WITNESS_D_MAX, f"10^{exp}"), ("--r", cli.WITNESS_D_MAX**2, f"10^{2 * exp}")):
+        for value in (limit + 1, 10**200, 10**4000):
+            flags = {"--d": "4", "--r": "4", "--p": "3", "--N": "11", flag: str(value)}
+            code, out, err = run_cli(["propgroup", "witnesses", *(t for item in flags.items() for t in item)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"meanexp: invalid input: {flag}: expected at most {text} for witnesses, got {value}\n"
+
+
+def test_witness_r_at_its_maximum_runs(capsys):
+    # r = d^2 at the maximum: c_2 = 0, and c_3 = -d*r is the first negative coefficient
+    d, r = cli.WITNESS_D_MAX, cli.WITNESS_D_MAX**2
+    code, out, err = run_cli(["propgroup", "witnesses", "--d", str(d), "--r", str(r), "--p", "3", "--N", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"meanexp: error: coefficient c_3 = {-d * r} < 0: relations too heavy for d = {d}\n"
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.11")
 @pytest.mark.parametrize("mode, what", [("series", "series coefficient"), ("ranks", "rank")])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -368,7 +388,8 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
 
 # The numeric flags of every subcommand: negatives, 0, huge ints and
 # non-numbers.  --N stays at most 8, so a witness scan reaches order 511 and
-# no case holds more than a few MB, even with a 31-digit --d.
+# no case holds more than a few MB, even with a 31-digit --d.  witnesses also
+# draws --d and --r past their maxima, which it rejects before any work.
 _HUGE = 10**30
 _INT = st.one_of(
     st.integers(-4, 12).map(str),
@@ -390,7 +411,12 @@ _NUMERIC_FLAGS = {
     ("critere",): {"--rho": _INT, "--t-dec": _INT, "--t-total": _INT},
     ("propgroup", "series"): _GS,
     ("propgroup", "ranks"): _GS,
-    ("propgroup", "witnesses"): {**_GS, "--eps": _FLOAT},
+    ("propgroup", "witnesses"): {
+        **_GS,
+        "--d": st.one_of(_INT, st.sampled_from([str(cli.WITNESS_D_MAX + 1), str(10**200)])),
+        "--r": st.one_of(_INT, st.sampled_from([str(cli.WITNESS_D_MAX**2 + 1), str(10**400)])),
+        "--eps": _FLOAT,
+    },
     ("oracle", "class-group"): {"--disc": _DISC},
 }
 
@@ -416,15 +442,28 @@ def test_numeric_flags_exit_documented_codes(data):
     values = {flag: data.draw(strategy, label=flag) for flag, strategy in flags.items()}
     argv = [*command, *(token for item in values.items() for token in item), "--json"]
     err = io.StringIO()
+    parsed = False
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
+            parsed = True
         except SystemExit as exc:  # argparse rejects a value its type cannot read
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if command[0] in ("genus-bound", "critere"):
         assert code == _count_exit(command[0], values), (argv, err.getvalue())
+    if command == ("propgroup", "witnesses"):
+        past = [flag for flag, most in (("--d", cli.WITNESS_D_MAX), ("--r", cli.WITNESS_D_MAX**2))
+                if re.fullmatch(r"[0-9]+", values[flag]) and int(values[flag]) > most]
+        if past:
+            assert code == 2, (argv, err.getvalue())
+        # once the flags parse and --precision and --N pass, the first flag
+        # past its maximum is named
+        if past and parsed and (
+            int(values.get("--precision", "0")) >= 0 and int(values["--N"]) <= propgroups.WITNESS_N_MAX
+        ):
+            assert err.getvalue().startswith(f"meanexp: invalid input: {past[0]}: expected at most"), argv
 
 
 @pytest.mark.parametrize("mode", ["series", "ranks", "witnesses"])

@@ -494,6 +494,23 @@ def test_successful_ranks_never_expand_the_series(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_witness_scan_asks_for_its_exact_rows_only(monkeypatch):
+    asked = []
+    real = propgroups.gs_ranks
+
+    def recorded(params, order):
+        asked.append(order)
+        return real(params, order)
+
+    monkeypatch.setattr(propgroups, "gs_ranks", recorded)
+    params = GSGroupParams(d=4, r=4, p=3)
+    cases = [(12, 4096), (16, 4096), (11, 4095), (5, 4096), (5, 8), (3, 30), (3, 2), (3, 0), (3, -5), (0, 4096)]
+    for n_max, limit in cases:
+        theo2_witnesses(params, 0.5, n_max, exact_limit=limit)
+    # b_(2^(n+1) - 1) is the last rank an exact row n reads
+    assert asked == [4095, 4095, 4095, 63, 7, 15]
+
+
 def test_witness_scan_length_is_bounded():
     with pytest.raises(DomainError, match="at most 1022"):
         theo2_witnesses(GSGroupParams(d=4, r=4, p=3), 0.5, WITNESS_N_MAX + 1)
