@@ -16,7 +16,3 @@ The library computes, at desk scale:
 """
 
 __version__ = "0.1.0"
-
-from .groups import AbelianPShape, mean_exponent  # noqa: F401
-from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verdict  # noqa: F401
-from .tv import TVProblem, TVSolution, optimize, universal_B  # noqa: F401

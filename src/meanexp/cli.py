@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 invalid input (a scenario or flag value that
 violates the schema, or a value outside an operation's domain), 3
 infeasible optimization budget, 4 internal inconsistency, 64 unknown
-subcommand.
+subcommand, 141 output pipe closed before the output was written.
 Output is human-readable by default and JSON with --json; JSON output for
 a fixed input is byte-stable across runs.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from importlib import resources
 
@@ -29,6 +30,8 @@ EXIT_SCHEMA = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 EXIT_USAGE = 64
+# 128 + SIGPIPE: the status a shell reports for a process a closed pipe ends
+EXIT_PIPE = 141
 
 _EXAMPLE_NAMES = {"1": "example1", "2": "example2", "3": "example3",
                   "4": "example4", "5": "example5", "intro": "intro"}
@@ -84,7 +87,7 @@ def _default_lines(payload: dict, prefix: str = ""):
 
 
 def _scenario_path(name: str):
-    return resources.files("meanexp").joinpath("scenarios", f"{name}.json")
+    return resources.files(__package__).joinpath("scenarios", f"{name}.json")
 
 
 def run_packaged_example(name: str) -> dict:
@@ -311,7 +314,14 @@ def main(argv=None) -> int:
     except MeanexpError as exc:
         print(f"meanexp: error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # exit does not raise again (the Python docs' SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return EXIT_OK
 
 

@@ -219,16 +219,24 @@ def zassenhaus_ranks(series: SeriesExpansion, p: int, order: int) -> ZassenhausR
     return _ranks_from_inverse(_inverse_support(series.coeffs[: order + 1]), p, order)
 
 
+#: Series terms gs_ranks expands before it computes any rank.
+_SERIES_PROBE = 16
+
+
 def gs_ranks(params: GSGroupParams, order: int) -> ZassenhausRanks:
     """zassenhaus_ranks(gs_series(params, order), params.p, order), read off
     the relation polynomial without expanding the series.
 
-    When the ranks fail, the series is expanded after all, so that a
-    negative coefficient c_n is reported as gs_series reports it: nonnegative
-    integral b_1..b_N make every c_n with n <= N nonnegative.
+    A negative coefficient c_n is reported as gs_series reports it:
+    nonnegative integral b_1..b_N make every c_n with n <= N nonnegative, so
+    when some c_n is negative the ranks fail.  The first _SERIES_PROBE terms
+    are expanded before any power sum, so a presentation that fails there
+    costs no rank work; past them, the series is expanded only when the
+    ranks fail.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
+    gs_series(params, min(order, _SERIES_PROBE))
     try:
         return _ranks_from_inverse(_relation_polynomial(params), params.p, order)
     except SeriesError:

@@ -4,7 +4,8 @@ A scenario file describes one tower construction: the base field, the set T
 of rational primes whose places split completely in the tower, the fixed
 density data, and any values pinned to reproduce a published computation.
 Pins always win over derived values, but the report records both so every
-deviation is visible.  Reports are plain dicts with deterministic key order;
+deviation is visible.  Reports are plain dicts with deterministic key order,
+apart from `tv.prefix`, a read-only view of rows (`PrefixRows`);
 serializing them with sorted keys is byte-stable across runs.
 """
 
@@ -15,11 +16,11 @@ import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import chain, repeat, takewhile
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain, islice, takewhile
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import eq, index
 from typing import Any
 
 from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
@@ -443,11 +444,49 @@ def build_candidates(sc: Scenario, bound: int) -> list[CandidateInfo]:
     return list(takewhile(lambda c: c.norm <= bound, records))
 
 
-def _prefix_rows(filled) -> list[dict]:
-    """The report's `tv.prefix` rows, one per candidate, from the filled records."""
-    return [{"norm": norm, "prime": ell, "weight_num": w, "kind": kind, "pinned": pinned}
-            for rec in filled for w, kind, pinned in [(rec.weight_num, rec.kind, rec.pinned)]
-            for norm, ell in zip(rec.norms, rec.primes)]
+def _record_rows(rec) -> Iterator[dict]:
+    """A filled record's `tv.prefix` rows, one per candidate, built afresh."""
+    w, kind, pinned = rec.weight_num, rec.kind, rec.pinned
+    return ({"norm": norm, "prime": ell, "weight_num": w, "kind": kind, "pinned": pinned}
+            for norm, ell in zip(rec.norms, rec.primes))
+
+
+class PrefixRows(Sequence):
+    """The report's `tv.prefix`: a read-only view of one row per candidate
+    over the filled records, which `dump_report` writes record by record.
+
+    Every access builds its rows afresh, so editing a row changes neither the
+    view nor the report's text.  The view compares equal to any sequence of
+    equal rows and has the repr of the list of its rows."""
+
+    def __init__(self, records):
+        self.records = tuple(records)
+        self._ends = list(accumulate(len(rec.norms) for rec in self.records))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[dict]:
+        return chain.from_iterable(map(_record_rows, self.records))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = index(i)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("prefix row index out of range")
+        i %= n
+        k = bisect_right(self._ends, i)
+        return next(islice(_record_rows(self.records[k]), i - (self._ends[k - 1] if k else 0), None))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def run_scenario_data(data: dict) -> dict:
@@ -613,7 +652,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
             "degenerate": solution.degenerate,
             "split_primes_below_ell_star_0": split_below,
             "norm_bound_used": bound,
-            "prefix": _prefix_rows(solution.filled),
+            "prefix": PrefixRows(solution.filled),
         },
         "bounds": bounds_block,
         "pinned_inputs": {
@@ -645,15 +684,14 @@ def dump_report(report: dict, precision: int | None = None) -> str:
     """Deterministic JSON text; identical inputs give identical bytes.
 
     The text is byte-identical to ``json.dumps(report, sort_keys=True,
-    indent=2)``, which runs json's encoder written in Python.  This one
+    indent=2, default=list)``, which runs json's encoder written in Python
+    (``default=list`` reads a `PrefixRows` view as its rows).  This one
     writes the same pieces, with one function, ``_scalar_text``, for every
     scalar and every non-``str`` key, and two shortcuts: a list slice of
-    exact scalars is encoded as one column (``_column_text``), and a slice
-    of rows (dicts with the same ``str`` keys and scalar values, as in
-    ``tv.prefix`` and a witness scan) a column at a time, assembled by one
-    join over the columns and the pre-encoded keys.  Any other container is
-    emitted child by child.  A value json cannot encode raises json's
-    ``TypeError``.
+    exact scalars is encoded as one column (``_column_text``), and a
+    `PrefixRows` view is written from its records (``_emit_prefix``).  Any
+    other container is emitted child by child.  A value json cannot encode
+    raises json's ``TypeError``.
     """
     if precision is not None:
         report = _round_floats(report, precision)
@@ -669,7 +707,11 @@ def _emit_json(obj, depth: int, out: list[str]) -> None:
     whole text is never held twice before the one join at the top.
     """
     if not isinstance(obj, (dict, list, tuple)):
-        out.append(_scalar_text(obj))
+        # PrefixRows is a Sequence ABC, whose isinstance runs in Python
+        if type(obj) is PrefixRows:
+            _emit_prefix(obj, depth, out)
+        else:
+            out.append(_scalar_text(obj))
         return
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
@@ -687,9 +729,8 @@ def _emit_json(obj, depth: int, out: list[str]) -> None:
     for at in range(0, len(obj), _ITEMS_PER_CALL):
         items = obj[at : at + _ITEMS_PER_CALL]
         texts = _column_text(items)
-        text = ("," + inner).join(texts) if texts is not None else _rows_text(items, inner)
-        if text is not None:
-            out += (sep, text)
+        if texts is not None:
+            out += (sep, ("," + inner).join(texts))
             sep = "," + inner
             continue
         for value in items:
@@ -699,29 +740,38 @@ def _emit_json(obj, depth: int, out: list[str]) -> None:
     out += (outer, "]")
 
 
-def _rows_text(rows, inner: str) -> str | None:
-    """The text of dicts with the same str keys and scalar values, joined
-    by "," and inner; None for any other items."""
-    if not all(type(row) is dict for row in rows):
-        return None
-    if len(set(map(len, rows))) != 1 or not rows[0] or not all(type(k) is str for k in rows[0]):
-        return None
-    keys = sorted(rows[0])
-    get = itemgetter(*keys)
-    try:
-        columns = list(zip(*map(get, rows))) if len(keys) > 1 else [list(map(get, rows))]
-    except KeyError:
-        return None
-    texts = list(map(_column_text, columns))
-    if None in texts:
-        return None
-    heads = [inner + "  " + encode_basestring_ascii(key) + ": " for key in keys]
-    first = "{" + heads[0]
-    parts = [chain((first,), repeat("," + inner + first)), texts[0]]
-    for head, text in zip(heads[1:], texts[1:]):
-        parts += (repeat("," + head), text)
-    parts.append(repeat(inner + "}"))
-    return "".join(chain.from_iterable(zip(*parts)))
+def _emit_prefix(rows: PrefixRows, depth: int, out: list[str]) -> None:
+    """Append the text of a `tv.prefix` view at depth to out, a record at a time.
+
+    A row's text is head + norm + mid + prime + tail, where head, mid and
+    tail hold the sorted keys and the record's kind, pinned and weight_num;
+    those are encoded once per distinct frame.  A filled record's kind is a
+    str, pinned a bool and weight_num a positive float, so frames that
+    compare equal print alike.  The rows of a record are joined
+    _ITEMS_PER_CALL at a time."""
+    if not rows:
+        out.append("[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    field = inner + "  "
+    frames: dict[tuple, tuple[str, str, str, str]] = {}
+    sep = "[" + inner
+    for rec in rows.records:
+        frame = (rec.kind, rec.pinned, rec.weight_num)
+        pieces = frames.get(frame)
+        if pieces is None:
+            head = "{" + field + '"kind": ' + _scalar_text(rec.kind) + "," + field + '"norm": '
+            mid = "," + field + '"pinned": ' + _scalar_text(rec.pinned) + "," + field + '"prime": '
+            tail = "," + field + '"weight_num": ' + _scalar_text(rec.weight_num) + inner + "}"
+            pieces = frames[frame] = (head, mid, tail, tail + "," + inner + head)
+        head, mid, tail, glue = pieces
+        norms, primes = rec.norms, rec.primes
+        for at in range(0, len(norms), _ITEMS_PER_CALL):
+            norm_texts = list(map(int.__repr__, norms[at : at + _ITEMS_PER_CALL]))
+            prime_texts = norm_texts if primes is norms else map(int.__repr__, primes[at : at + _ITEMS_PER_CALL])
+            out += (sep, head, glue.join(map(mid.join, zip(norm_texts, prime_texts))), tail)
+            sep = "," + inner
+    out += ("\n" + "  " * depth, "]")
 
 
 def _column_text(column):
@@ -765,4 +815,7 @@ def _round_floats(obj, precision: int):
         return {k: _round_floats(v, precision) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_round_floats(v, precision) for v in obj]
+    if type(obj) is PrefixRows:
+        # weight_num is the one value of a row that can be a float
+        return PrefixRows(replace(rec, weight_num=_round_floats(rec.weight_num, precision)) for rec in obj.records)
     return obj

@@ -1,14 +1,19 @@
 import contextlib
+import importlib
 import io
 import json
+import os
 import re
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanexp import cli, propgroups
+from meanexp import cli, propgroups, scenario
 
 
 def run_cli(argv, capsys):
@@ -93,6 +98,24 @@ def test_paper_example_intro(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["label"] == "introduction-compositum"
+
+
+def test_packaged_examples_come_from_the_loaded_package(tmp_path, monkeypatch):
+    # a copy of the package under another name reads its own scenario files
+    alias = "meanexp_copy_under_test"
+    shutil.copytree(Path(cli.__file__).parent, tmp_path / alias, ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / alias / "scenarios" / "intro.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["label"] = "the copy's intro"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        copy_cli = importlib.import_module(f"{alias}.cli")
+        assert copy_cli.run_packaged_example("intro")["label"] == "the copy's intro"
+    finally:
+        for name in [name for name in sys.modules if name.partition(".")[0] == alias]:
+            del sys.modules[name]
+    assert cli.run_packaged_example("intro")["label"] == "introduction-compositum"
 
 
 def test_paper_example_unknown(capsys):
@@ -224,6 +247,23 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys):
         assert location in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_closed_output_pipe_exits_141_without_traceback(mode):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # about 2.5 MB of output, far more than a pipe buffers, so the writer
+    # is still writing when the reader closes its end after 10 bytes
+    argv = ["propgroup", "ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "3000", *mode]
+    proc = subprocess.Popen([sys.executable, "-m", "meanexp.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
+    assert head == (b'{\n  "b": [' if mode else b"b: [4, 2, ") and err == b""
+
+
 def test_negative_precision_exits_2(capsys):
     for argv in (["mean-exponent", "--shape", "p:2,exps:3,1", "--json", "--precision", "-1"],
                  ["--precision", "-1", "paper-example", "2", "--json"]):
@@ -239,7 +279,7 @@ def _rounded(obj, places: int):
         return round(obj, places)
     if isinstance(obj, dict):
         return {k: _rounded(v, places) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, scenario.PrefixRows)):
         return [_rounded(v, places) for v in obj]
     return obj
 
@@ -332,6 +372,19 @@ def test_witness_r_at_its_maximum_runs(capsys):
     code, out, err = run_cli(["propgroup", "witnesses", "--d", str(d), "--r", str(r), "--p", "3", "--N", "3"], capsys)
     assert (code, out) == (2, "")
     assert err == f"meanexp: error: coefficient c_3 = {-d * r} < 0: relations too heavy for d = {d}\n"
+
+
+def test_heavy_presentation_fails_before_any_power_sum(capsys, monkeypatch):
+    # c_2 = d^2 - r < 0: the first series terms reject the presentation
+    # before the rank core builds its power sums (4,095 of them at --N 11)
+    def rank_core(*_args):
+        raise AssertionError("the rank core ran")
+
+    monkeypatch.setattr(propgroups, "_ranks_from_inverse", rank_core)
+    r = 10**40
+    code, out, err = run_cli(["propgroup", "witnesses", "--d", "1", "--r", str(r), "--p", "3", "--N", "11"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"meanexp: error: coefficient c_2 = {1 - r} < 0: relations too heavy for d = 1\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.11")

@@ -487,10 +487,11 @@ def test_successful_ranks_never_expand_the_series(monkeypatch, capsys):
     base = ["propgroup", "--d", "4", "--r", "4", "--p", "3", "--json"]
     assert cli.main(["propgroup", "ranks", *base[1:], "--N", "300"]) == 0
     assert cli.main(["propgroup", "witnesses", *base[1:], "--N", "12"]) == 0
-    assert calls == []
+    # only the first terms, which reject a presentation that fails there
+    assert calls == [propgroups._SERIES_PROBE] * 2 and propgroups._SERIES_PROBE <= 16
     # a failing order expands it, for the c_n < 0 message
     assert cli.main(["propgroup", "ranks", "--d", "1", "--r", "1", "--p", "2", "--N", "4"]) == 2
-    assert calls == [4]
+    assert calls[2:] == [4]
     capsys.readouterr()
 
 

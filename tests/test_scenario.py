@@ -21,6 +21,8 @@ from meanexp.errors import InfeasibleProblemError, NeedsLargerEnumerationError, 
 from meanexp.scenario import (
     _MAX_NORM_BOUND,
     NORM_BOUND_MAX,
+    CandidateInfo,
+    PrefixRows,
     SplitRun,
     _candidate_for_prime,
     _derived_sigma_fixed,
@@ -470,11 +472,14 @@ def test_dump_report_peak_memory_stays_below_indented_json():
     # the x1_num = 0.03 rung: about 9,400 `tv.prefix` rows, 1.4 MB of text
     rung = run_scenario_data(_deep("example1", 0.03))
     assert len(rung["tv"]["prefix"]) > 9000
-    for payload in (ranks, rung):
+    # json.dumps reads plain data: the rung's twin with its rows as a list,
+    # built before tracing so that its rows do not count toward the reference's peak
+    rung_rows = dict(rung, tv=dict(rung["tv"], prefix=list(rung["tv"]["prefix"])))
+    for payload, twin in ((ranks, ranks), (rung, rung_rows)):
         peaks = []
-        for dump in (dump_report, _indented):
+        for dump, obj in ((dump_report, payload), (_indented, twin)):
             tracemalloc.start()
-            text = dump(payload)
+            text = dump(obj)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
             del text
@@ -673,6 +678,109 @@ def test_stream_matches_enumerate_then_double(data):
     want = _reference_fill(data)
     got = run_scenario_data(copy.deepcopy(data))["tv"]
     assert {key: got[key] for key in want} == want
+
+
+def _listed_rows(filled) -> list[dict]:
+    """The `tv.prefix` rows of the filled records as a plain list of dicts."""
+    return [{"norm": norm, "prime": ell, "weight_num": w, "kind": kind, "pinned": pinned}
+            for rec in filled for w, kind, pinned in [(rec.weight_num, rec.kind, rec.pinned)]
+            for norm, ell in zip(rec.norms, rec.primes)]
+
+
+def _indented_rows(obj) -> str:
+    """The reference text of a payload that holds `PrefixRows` views."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=list)
+
+
+@pytest.mark.parametrize("name", [*PACKAGED, "example1-0.03"])
+def test_prefix_view_lists_the_rows_of_its_records(name):
+    if name in PACKAGED:
+        report = cli.run_packaged_example(name)
+    else:
+        report = run_scenario_data(_deep("example1", 0.03))
+    view = report["tv"]["prefix"]
+    assert type(view) is PrefixRows
+    want = _listed_rows(view.records)
+    # repr tells 1 from 1.0 and True, which == does not
+    assert list(view) == want and repr(list(view)) == repr(want)
+    assert len(view) == len(want) == sum(len(rec.norms) for rec in view.records)
+    sc = parse_scenario(_deep("example1", 0.03) if name not in PACKAGED else _packaged(name))
+    problem, b_ded = _problem(sc)
+    sol = tv.optimize(problem, candidate_stream(sc), b_deduction=b_ded)
+    assert want == [{"norm": c.norm, "prime": c.prime, "weight_num": c.weight_num, "kind": c.kind,
+                     "pinned": c.pinned} for c in sol.prefix]
+    assert dump_report(report) == _indented_rows(report)
+
+
+def test_prefix_view_reads_as_a_sequence():
+    view = run_scenario_data(_deep_with_pins_above_root())["tv"]["prefix"]
+    rows = list(view)
+    n = len(rows)
+    assert len(view) == n > 100 and len(view.records) < n / 4
+    assert [view[i] for i in range(-n, n)] == rows + rows
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for cut in (slice(2, 7), slice(None, None, -3), slice(-4, None), slice(5, 2), slice(None)):
+        assert view[cut] == rows[cut]
+    assert view == rows and rows == view and view == tuple(rows) and tuple(rows) == view and view == view
+    assert view != rows[:-1] and rows[:-1] != view and view != rows[::-1] and view != "rows" and view != {}
+    assert view.index(rows[3]) == 3 and rows[-1] in view and view.count(rows[0]) == 1
+    assert repr(view) == str(view) == repr(rows)
+    # the text output prints the view as it printed the list
+    assert list(cli._default_lines({"tv": {"prefix": view}})) == list(cli._default_lines({"tv": {"prefix": rows}}))
+    with pytest.raises(TypeError):
+        hash(view)
+    empty = PrefixRows(())
+    assert len(empty) == 0 and empty == [] and [] == empty and repr(empty) == "[]" and list(empty) == []
+    assert dump_report({"prefix": empty}) == _indented_rows({"prefix": empty})
+
+
+def test_prefix_rows_are_fresh_on_every_access():
+    report = run_scenario_data(_deep_with_pins_above_root())
+    view = report["tv"]["prefix"]
+    rows, text = copy.deepcopy(list(view)), dump_report(report)
+    view[0]["norm"] = -1
+    view[-1]["kind"] = "changed"
+    next(iter(view))["weight_num"] = 0.5
+    view[1:3][0]["pinned"] = "changed"
+    for row in view:
+        row.clear()
+    assert list(view) == rows and view[1] == rows[1]
+    assert dump_report(report) == text
+
+
+@st.composite
+def _prefix_views(draw):
+    """A view over records of ascending integers standing in for primes:
+    runs, some over _ITEMS_PER_CALL long, and candidates whose norm may be a
+    power of their prime.  Frames repeat, and a kind holds characters json
+    escapes."""
+    frame = st.tuples(st.sampled_from(["split_full", "inert_sq", 'a"\\\n{},é\ud800']), st.booleans(),
+                      st.one_of(st.sampled_from([0.7633141, 2.0]), st.floats(min_value=1e-300, max_value=4.0)))
+    records, ell = [], 2
+    for length, (kind, pinned, weight_num) in draw(st.lists(
+            st.tuples(st.sampled_from([1, 1, 2, 3, 511, 512, 513, 1100]), frame), max_size=5)):
+        if length == 1:
+            exp = draw(st.integers(1, 3))
+            records.append(CandidateInfo(ell, ell**exp, 1.0, weight_num=weight_num, kind=kind, pinned=pinned))
+            ell += draw(st.integers(1, 10**30))
+        elif not pinned:
+            start = ell
+            ell += length * draw(st.integers(1, 2**70))
+            records.append(SplitRun(tuple(range(start, ell, (ell - start) // length)), 1.0, weight_num, kind))
+    return PrefixRows(records)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_prefix_views(), st.lists(st.booleans(), max_size=3))
+def test_dump_report_writes_prefix_views_as_json_reads_their_rows(view, path):
+    obj = view
+    for in_dict in path:
+        obj = {"tv": obj, "x": 1.2345} if in_dict else [0.5, obj]
+    assert dump_report(obj) == _indented_rows(obj)
+    assert dump_report(obj, precision=3) == json.dumps(scenario_module._round_floats(json.loads(
+        _indented_rows(obj)), 3), sort_keys=True, indent=2)
 
 
 def test_pins_above_root_reach_the_fill():
