@@ -13,14 +13,21 @@ The output holds, per workload and end-to-end metric, each side's median and
 quartiles, the number of pairs the change won (ties count for neither side),
 the change's median relative to the parent's, and whether the gain rule holds:
 a win in at least nine tenths of the pairs, and medians that differ by more
-than the parent's interquartile range.  Its no-regression ``verdict`` against
-the metric's ``bound`` is ``unresolved`` when the parent's interquartile range
-is wider than the bound times its median and not every change run beats every
-parent run, else ``worse`` when the change's median is worse than the
-parent's by more than the bound, else ``within_bound``.  The file also holds
-both commits, the seeds and every run's result and run record.  It is
-rewritten after every run, so an interrupted session still leaves the runs
-made so far.  Standard library only.
+than the parent's interquartile range.  A drift of the host during the run
+widens that range without touching the gap within a pair, so each metric also
+has ``pair_ratio``, the median and quartiles of the per-pair change/parent
+ratios, and ``paired_gain_rule_met``: the same nine tenths of wins, and the
+ratios' quartile away from the gain on the gain side of 1 (the third quartile
+below 1 where lower is better, the first above 1 where higher is).  From two
+pairs on, the wins imply that quartile; it keeps a single pair from passing.
+The no-regression ``verdict`` against the metric's ``bound`` is
+``unresolved`` when the parent's interquartile range is wider than the bound
+times its median and not every change run beats every parent run, else
+``worse`` when the change's median is worse than the parent's by more than
+the bound, else ``within_bound``.  The file also holds both commits, the
+seeds and every run's result and run record.  It is rewritten after every
+run, so an interrupted session still leaves the runs made so far.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -97,6 +104,10 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": len(complete),
                  "parent": before, "change": after, "change_won_pairs": wins}
         if complete:
+            ratios = entry["pair_ratio"] = spread([c / p for p, c in zip(parent, change)])
+            far = ratios["q3"] if lower else ratios["q1"]
+            entry["paired_gain_rule_met"] = bool(wins >= 0.9 * len(complete) and far is not None
+                                                 and (far < 1 if lower else far > 1))
             ratio = entry["change_over_parent"] = after["median"] / before["median"]
             gap = before["median"] - after["median"] if lower else after["median"] - before["median"]
             entry["gain_rule_met"] = bool(wins >= 0.9 * len(complete) and before["iqr"] is not None

@@ -69,21 +69,28 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def prime_flags(lo: int, hi: int) -> bytearray:
-    """One segment of a segmented sieve: byte i is 1 when lo + 1 + i is prime,
-    for lo + 1 + i in (lo, hi], lo >= 1; crossed off by the primes up to sqrt(hi)."""
-    n = hi - lo
+    """One segment of a segmented sieve over the odd numbers, one byte each:
+    byte i is 1 when x0 + 2i is prime, for the odd x0 + 2i in (lo, hi],
+    x0 = (lo + 1) | 1, lo >= 1; crossed off by the odd primes up to sqrt(hi).
+    The prime 2 is left to the caller."""
+    x0 = (lo + 1) | 1
+    n = len(range(x0, hi + 1, 2))
     flags = bytearray([1]) * n
-    zeros = bytes(n // 2 + 1)
-    for p in primes_between(1, isqrt(hi)) if hi >= 4 else ():
-        # the offset of p^2, or of the first multiple of p past lo
-        first = p * p - lo - 1 if p * p > lo else -(lo + 1) % p
+    zeros = bytes(n // 3 + 1)
+    for p in primes_between(2, isqrt(hi)) if hi >= 9 else ():
+        # p^2, or the first odd multiple of p from x0 on; odd multiples are
+        # 2p apart, so p bytes apart
+        first = -(-x0 // p) * p
+        first = max(p * p, first if first % 2 else first + p)
+        first = (first - x0) // 2
         flags[first::p] = zeros[: (n - 1 - first) // p + 1]
     return flags
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes in (lo, hi], ascending."""
-    return list(compress(range(lo + 1, hi + 1), prime_flags(lo, hi)))
+    odd = compress(range((lo + 1) | 1, hi + 1, 2), prime_flags(lo, hi))
+    return [2, *odd] if lo < 2 <= hi else list(odd)
 
 
 def _iroot(n: int, m: int) -> int:

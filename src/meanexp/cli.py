@@ -168,7 +168,10 @@ def _printable(values, what: str) -> list[int]:
     Python 3.11 on).  The limit itself is left as it is."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     values = list(values)
-    if limit and values and max(map(abs, values)) >= 10**limit:
+    top = max(map(abs, values), default=0)
+    # a value of at most 3 * limit bits is below 8^limit < 10^limit, so only
+    # a longer one needs the exact comparison
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
         raise SchemaError(
             f"a {what} has more than {limit} decimal digits, Python's int-to-str limit; "
             "lower --N or --d", location="--N")

@@ -12,13 +12,15 @@ Kronecker symbol per prime.  A fundamental discriminant D is the product of
 prime discriminants: q* = +-q = 1 mod 4 for each odd q | D, and a 2-part of
 -4, 8 or -8 when D is even.  So chi_D(ell) is the product of the characters
 chi_{q*}(ell) = (ell/q), which depend only on ell mod q, and chi_{2-part}(ell),
-which depends only on ell mod 8 (Cohen, GTM 138, 1.4 and 5.1).  Each factor
-is a non-residue pattern of length |q*|; the patterns of one character are
-XOR-ed together once, in groups whose period stays at most 2^16, and cached.
-Over a segment of integers, each group's pattern is rotated to the segment
-start and tiled; XOR-ing them (as one big integer each) marks where the
-character is -1, and the prime flags of the segment, less the ramified primes
-and the marked positions, are the split primes.
+which depends only on ell mod 8 (Cohen, GTM 138, 1.4 and 5.1).  The mask
+covers the odd numbers only, one bit each: the prime 2 is decided on its own.
+Each factor is a non-residue pattern over the odd residues, q bits for q*
+and 2 or 4 for the 2-part; the patterns of one character are XOR-ed together
+once, in groups whose period stays at most 2^16, and cached as big integers.
+Over a segment, each group's window is cut from its repeated pattern by
+shifts; XOR-ing the windows of a character marks where it is -1, and the
+prime flags of the segment, less the ramified primes and the marked
+positions, are the split primes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import functools
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from math import log, prod
-from operator import add
+from operator import add, mul
 
 from .arith import PrimePower, factor, is_prime, kronecker, left_sum, prime_flags
 from .errors import DegenerateFieldError, DomainError
@@ -78,10 +80,9 @@ class QuadraticSpec:
         return sign, {p: 1 for p, e in fm.items() if e % 2 == 1}
 
 
-def fundamental_discriminant_factored(radicand) -> tuple[int, dict[int, int]]:
-    """(sign, factored |d|) of the fundamental discriminant of Q(sqrt(radicand))."""
-    spec = QuadraticSpec.of(radicand)
-    sign, core = spec.squarefree_core()
+def _discriminant_of_core(sign: int, core: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(sign, factored |d|) of the fundamental discriminant of Q(sqrt(sign * core)),
+    core a squarefree factor map."""
     if not core and sign == 1:
         raise DomainError("radicand is a perfect square; the field is degenerate")
     d_mod4 = sign
@@ -94,13 +95,21 @@ def fundamental_discriminant_factored(radicand) -> tuple[int, dict[int, int]]:
     return sign, out
 
 
-def fundamental_discriminant(radicand) -> int:
-    """d if the squarefree core is 1 mod 4, else 4 * core."""
-    sign, fm = fundamental_discriminant_factored(radicand)
+def _value(sign: int, fm: dict[int, int]) -> int:
     val = sign
     for p, e in fm.items():
         val *= p**e
     return val
+
+
+def fundamental_discriminant_factored(radicand) -> tuple[int, dict[int, int]]:
+    """(sign, factored |d|) of the fundamental discriminant of Q(sqrt(radicand))."""
+    return _discriminant_of_core(*QuadraticSpec.of(radicand).squarefree_core())
+
+
+def fundamental_discriminant(radicand) -> int:
+    """d if the squarefree core is 1 mod 4, else 4 * core."""
+    return _value(*fundamental_discriminant_factored(radicand))
 
 
 @dataclass(frozen=True)
@@ -123,10 +132,7 @@ class FieldDescriptor:
 
     @property
     def abs_disc(self) -> int:
-        val = 1
-        for p, e in self.abs_disc_factored.items():
-            val *= p**e
-        return val
+        return _value(1, self.abs_disc_factored)
 
     def log_abs_disc(self) -> float:
         return left_sum(e * log(p) for p, e in self.abs_disc_factored.items())
@@ -156,11 +162,9 @@ class FieldDescriptor:
         return 0
 
 
-def quadratic_field(radicand) -> FieldDescriptor:
-    sign, fm = fundamental_discriminant_factored(radicand)
-    d = sign
-    for p, e in fm.items():
-        d *= p**e
+def _quadratic(sign: int, fm: dict[int, int]) -> FieldDescriptor:
+    """The quadratic field of fundamental discriminant sign * prod(p^e for fm)."""
+    d = _value(sign, fm)
     r1, r2 = (2, 0) if d > 0 else (0, 1)
     return FieldDescriptor(
         degree=2,
@@ -171,30 +175,34 @@ def quadratic_field(radicand) -> FieldDescriptor:
     )
 
 
+def quadratic_field(radicand) -> FieldDescriptor:
+    return _quadratic(*fundamental_discriminant_factored(radicand))
+
+
 def biquadratic_field(d1_radicand, d2_radicand) -> FieldDescriptor:
     """Compositum of two distinct quadratic fields.
 
     The discriminant comes from the conductor-discriminant formula:
     |disc| is the product of the discriminants of the three quadratic
     subfields, the third being generated by the product of the radicands.
+    Each radicand is validated once: the third subfield's squarefree core is
+    the primes in exactly one of the two cores, with the product of the signs.
     """
     spec1 = QuadraticSpec.of(d1_radicand)
     spec2 = QuadraticSpec.of(d2_radicand)
-    if fundamental_discriminant(spec1.factors) == fundamental_discriminant(spec2.factors):
+    sign1, core1 = spec1.squarefree_core()
+    disc1 = _discriminant_of_core(sign1, core1)
+    sign2, core2 = spec2.squarefree_core()
+    disc2 = _discriminant_of_core(sign2, core2)
+    if _value(*disc1) == _value(*disc2):
         raise DegenerateFieldError("the two radicands generate the same quadratic field")
+    core3 = {p: 1 for p in (*core1, *core2) if (p in core1) != (p in core2)}
     disc_fact: dict[int, int] = {}
     values = []
-    for factors in (
-        spec1.factors,
-        spec2.factors,
-        tuple(spec1.factors) + tuple(spec2.factors),
-    ):
-        sign, fm = fundamental_discriminant_factored(factors)
-        val = sign
+    for sign, fm in (disc1, disc2, _discriminant_of_core(sign1 * sign2, core3)):
         for p, e in fm.items():
-            val *= p**e
             disc_fact[p] = disc_fact.get(p, 0) + e
-        values.append(val)
+        values.append(_value(sign, fm))
     D1, D2, D3 = values
     if D1 > 0 and D2 > 0:
         r1, r2 = 4, 0
@@ -207,6 +215,22 @@ def biquadratic_field(d1_radicand, d2_radicand) -> FieldDescriptor:
         abs_disc_factored=disc_fact,
         subfield_discs=(D1, D2, D3),
     )
+
+
+def quadratic_subfield(fld: FieldDescriptor) -> FieldDescriptor:
+    """The quadratic subfield of discriminant fld.subfield_discs[0], read off
+    the factored discriminant with nothing validated again: Q(sqrt(d1)) for
+    biquadratic_field(d1, d2), and the field itself for a quadratic one."""
+    if fld.degree == 2:
+        return fld
+    D = fld.subfield_discs[0]
+    m = abs(D)
+    fm: dict[int, int] = {}
+    for q in fld.abs_disc_factored:
+        while m % q == 0:
+            m //= q
+            fm[q] = fm.get(q, 0) + 1
+    return _quadratic(1 if D > 0 else -1, fm)
 
 
 def disc_with_tame_conductor(fld: FieldDescriptor, norms, p: int) -> dict[int, int]:
@@ -283,36 +307,42 @@ def norms_above(fld: FieldDescriptor, ell: int, split: bool | None = None) -> li
     raise DomainError(f"prime {ell} ramifies in exactly one quadratic subfield")
 
 
-# odd prime discriminants up to this size get a cached pattern (at most 64 KiB,
-# and at most 256 of them are kept); a character with a larger one is
-# evaluated per surviving prime instead
+# odd prime discriminants up to this size get a cached pattern (one bit per
+# odd residue, so at most 8 KiB, and at most 32 characters' groups are kept);
+# a character with a larger one is evaluated per surviving prime instead
 _PATTERN_LIMIT = 1 << 16
 
+# a 0/1 byte string to the ASCII digits int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
-@functools.lru_cache(maxsize=256)
+
 def _nonresidue_pattern(d: int) -> bytes:
-    """Byte r is 1 when chi_d(r) = -1, for 0 <= r < |d|, d a prime discriminant.
+    """Byte i is 1 when chi_d(2i + 1) = -1, for 0 <= i < m, d a prime
+    discriminant, m = |d| when d is odd and |d| / 2 for d = -4, 8, -8: the
+    character at the odd numbers, over one period.
 
     For odd d = +-q, chi_d(r) is the Legendre symbol (r/q), so the pattern is
-    the complement of the squares mod q; for d = -4, 8, -8 it is read off the
-    Kronecker symbol at the odd residues.
+    the complement of the squares mod q read at r = 1, 3, ..., 2q - 1; for
+    d = -4, 8, -8 it is read off the Kronecker symbol at the odd residues.
     """
     m = abs(d)
     if m % 2 == 0:
-        return bytes(r % 2 == 1 and kronecker(d, r) == -1 for r in range(m))
+        return bytes(kronecker(d, 2 * i + 1) == -1 for i in range(m // 2))
     pattern = bytearray([1]) * m
     pattern[0] = 0
     for r in range(1, m // 2 + 1):
         pattern[r * r % m] = 0
-    return bytes(pattern)
+    return bytes((pattern * 2)[1::2])
 
 
 @functools.lru_cache(maxsize=32)
-def _character_patterns(parts: tuple[int, ...]) -> tuple[bytes, ...]:
+def _character_patterns(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The non-residue patterns of one character's prime discriminants,
     XOR-ed together in groups whose period, the product of their |d|, stays
-    at most _PATTERN_LIMIT: byte r of a group's pattern is 1 when an odd
-    number of its characters is -1 at r.  A segment then tiles a few long
+    at most _PATTERN_LIMIT.  Each group is (m, bits): bit i of the m-bit
+    string bits, most significant first, is 1 when an odd number of its
+    characters is -1 at the odd residue 2i + 1; m is the group's period, or
+    half of it when a 2-part makes that even.  A segment then cuts a few long
     patterns instead of many short ones."""
     groups: list[list[int]] = []
     for d in sorted(parts, key=abs):
@@ -322,13 +352,23 @@ def _character_patterns(parts: tuple[int, ...]) -> tuple[bytes, ...]:
             groups.append([d])
     patterns = []
     for group in groups:
-        period = prod(map(abs, group))
-        negative = 0
-        for d in group:
-            pattern = _nonresidue_pattern(d)
-            negative ^= int.from_bytes(pattern * (period // len(pattern)), "big")
-        patterns.append(negative.to_bytes(period, "big"))
+        odd = list(map(_nonresidue_pattern, group))
+        m = prod(map(len, odd))
+        bits = 0
+        for pattern in odd:
+            bits ^= int((pattern * (m // len(pattern))).translate(_DIGITS), 2)
+        patterns.append((m, bits))
     return tuple(patterns)
+
+
+def _window(m: int, bits: int, start: int, n: int) -> int:
+    """The n bits from position start on of the bit string that repeats the
+    m-bit string bits, most significant first."""
+    start %= m
+    while m < start + n:
+        bits |= bits << m
+        m *= 2
+    return bits >> (m - start - n) & ((1 << n) - 1)
 
 
 def _prime_discriminants(fld: FieldDescriptor, D: int) -> list[int]:
@@ -344,32 +384,37 @@ def split_primes_between(fld: FieldDescriptor, lo: int, hi: int) -> list[int]:
     biquadratic field (chi_D3 is their product there), chi_D for a quadratic
     one.  These are the primes `norms_above` gives (ell, 4), resp. (ell, 2).
     """
-    n = hi - lo
-    if n <= 0:
-        return []
-    flags = prime_flags(lo, hi)
+    characters = fld.subfield_discs[:2]
+    primes = []
+    if lo < 2 <= hi and 2 not in fld.abs_disc_factored and all(kronecker(D, 2) == 1 for D in characters):
+        primes.append(2)
+    flags = prime_flags(lo, hi)  # byte i: x0 + 2i
+    n = len(flags)
+    if not n:
+        return primes
+    x0 = (lo + 1) | 1
     for q in fld.abs_disc_factored:
-        if lo < q <= hi:
-            flags[q - lo - 1] = 0
-    negative = 0  # byte i is 1 when some character is -1 at lo + 1 + i
+        if q % 2 and x0 <= q <= hi:
+            flags[(q - x0) // 2] = 0
+    negative = 0  # bit i, most significant first, is 1 when some character is -1 at x0 + 2i
     per_prime = []
-    for D in fld.subfield_discs[:2]:
+    for D in characters:
         parts = _prime_discriminants(fld, D)
         if max(map(abs, parts), default=0) > _PATTERN_LIMIT:
             per_prime.append(D)
             continue
         chi_negative = 0
-        for pattern in _character_patterns(tuple(parts)):
-            m = len(pattern)
-            shift = (lo + 1) % m
-            tiled = (pattern[shift:] + pattern[:shift]) * (n // m + 1)
-            chi_negative ^= int.from_bytes(memoryview(tiled)[:n], "big")
+        for m, bits in _character_patterns(tuple(parts)):
+            chi_negative ^= _window(m, bits, x0 // 2, n)
         negative |= chi_negative
-    split = (int.from_bytes(flags, "big") & ~negative).to_bytes(n, "big")
-    # the ones of the 0/1 mask, from the lengths of the zero stretches between
-    # them: no int is made per byte, as compress(range(...), split) would
-    gaps = map(len, split.split(b"\x01"))
-    primes = list(accumulate(map(add, gaps, repeat(1)), initial=lo))[1:-1]
+    flags = int(flags.translate(_DIGITS), 2)
+    # the split bits (flags & ~negative would make a negative int, which is
+    # several times slower), as text after a leading 1; their positions come
+    # from the lengths of the zero stretches between them, 2 apart per bit:
+    # no int is made per odd number, as compress(range(...), ...) would
+    split = bin((flags ^ (flags & negative)) | 1 << n)[3:]
+    steps = map(mul, map(add, map(len, split.split("1")), repeat(1)), repeat(2))
+    primes += list(accumulate(steps, initial=x0 - 2))[1:-1]
     for D in per_prime:
         primes = [ell for ell in primes if kronecker(D, ell) == 1]
     return primes
@@ -394,10 +439,7 @@ def ramified_place_count(base: FieldDescriptor | None, extension_radicand, p: in
         return finite + arch
     if base.degree != 2:
         raise DomainError("ramified_place_count supports base Q or quadratic bases")
-    core_val = sign
-    for q in core:
-        core_val *= q
-    if 2 in core or core_val % 4 != 1:
+    if 2 in core or _value(sign, core) % 4 != 1:
         raise DomainError(
             "2-adic ramification over a quadratic base is out of scope; "
             "radicand core must be odd and 1 mod 4"

@@ -25,7 +25,7 @@ from typing import Any
 
 from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
-from .fields import FieldDescriptor, field_from_spec, quadratic_field, splitting_type
+from .fields import FieldDescriptor, field_from_spec, quadratic_subfield, splitting_type
 from . import fields, tv
 from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verdict
 
@@ -173,11 +173,7 @@ def parse_scenario(data: dict) -> Scenario:
     except (DomainError, KeyError) as exc:
         raise SchemaError(f"bad field spec: {exc}", location="field") from exc
 
-    base = None
-    if field.degree == 4:
-        base = quadratic_field(fspec["d1_factors"])
-    elif field.degree == 2:
-        base = field
+    base = quadratic_subfield(field)
 
     g_override = _optional_number(data, "g_override", positive=True)
     eps_lin = _optional_number(data, "epsilon_linear", positive=True)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,6 +180,24 @@ def test_primes_between_segments():
     # doubling segments tile the range with nothing sieved twice
     segments = [primes_between(lo, min(2 * lo, 5000)) for lo in (100, 200, 400, 800, 1600, 3200)]
     assert sieve_primes(100) + sum(segments, []) == primes
+
+
+def test_primes_between_matches_is_prime_on_every_small_range():
+    for lo in range(1, 200):
+        for hi in range(lo + 1, 201):
+            assert primes_between(lo, hi) == [x for x in range(lo + 1, hi + 1) if is_prime(x)], (lo, hi)
+
+
+def test_primes_between_matches_is_prime_on_random_ranges():
+    rng = random.Random(18)
+    for _ in range(60):
+        lo = rng.randrange(1, 10**7)
+        hi = lo + rng.choice([1, 2, 3, rng.randrange(1, 20_000)])
+        assert primes_between(lo, hi) == [x for x in range(lo + 1, hi + 1) if is_prime(x)], (lo, hi)
+    # segments starting on a square of a sieving prime, and just past it
+    for q in (3, 97, 997, 3_001):
+        for lo in (q * q - 1, q * q, q * q + 1):
+            assert primes_between(lo, lo + 500) == [x for x in range(lo + 1, lo + 501) if is_prime(x)], lo
 
 
 def test_is_prime_matches_sieve_to_a_million():

@@ -54,3 +54,46 @@ def test_incomplete_pairs_are_left_out(bench_pairs):
     entry = bench_pairs.summarise(runs, [P50])["req_p50_ms"]
     assert entry["pairs"] == 2 and entry["verdict"] == "within_bound"
     assert "verdict" not in bench_pairs.summarise([], [P50])["req_p50_ms"]
+
+
+# a parent that drifts over 153-199 req/s within the run, the change 16 % faster in every pair
+DRIFTING = [153.0, 199.0, 160.0, 192.0, 155.0, 197.0, 158.0, 195.0, 153.5, 198.0]
+
+
+def test_paired_rule_sees_a_gain_through_host_drift(bench_pairs):
+    entry = bench_pairs.summarise(_runs("throughput_rps", DRIFTING, [1.16 * v for v in DRIFTING]),
+                                  [RPS])["throughput_rps"]
+    assert entry["change_won_pairs"] == 10
+    # the parent's interquartile range is wider than the gap of the medians
+    assert entry["parent"]["iqr"] > entry["change"]["median"] - entry["parent"]["median"]
+    assert entry["gain_rule_met"] is False
+    assert entry["pair_ratio"]["median"] == pytest.approx(1.16)
+    assert entry["pair_ratio"]["q1"] == pytest.approx(1.16)
+    assert entry["paired_gain_rule_met"] is True
+    # the same for a metric where lower is better
+    latency = [1000.0 / v for v in DRIFTING]
+    entry = bench_pairs.summarise(_runs("req_p50_ms", latency, [v / 1.16 for v in latency]), [P50])["req_p50_ms"]
+    assert entry["gain_rule_met"] is False and entry["paired_gain_rule_met"] is True
+    assert entry["pair_ratio"]["q3"] == pytest.approx(1 / 1.16)
+
+
+@pytest.mark.parametrize("metric", [RPS, P50], ids=["higher", "lower"])
+def test_paired_rule_fails_on_a_tie(bench_pairs, metric):
+    entry = bench_pairs.summarise(_runs(metric["name"], DRIFTING, DRIFTING), [metric])[metric["name"]]
+    assert entry["change_won_pairs"] == 0
+    assert entry["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "iqr": 0.0}
+    assert entry["gain_rule_met"] is False and entry["paired_gain_rule_met"] is False
+
+
+def test_paired_rule_counts_wins_and_needs_a_quartile(bench_pairs):
+    parent = [100.0] * 10
+    # nine wins of 1 % and one loss of 30 %: the first quartile of the ratios is still above 1
+    entry = bench_pairs.summarise(_runs("throughput_rps", parent, [101.0] * 9 + [70.0]), [RPS])["throughput_rps"]
+    assert entry["change_won_pairs"] == 9 and entry["pair_ratio"]["q1"] > 1
+    assert entry["paired_gain_rule_met"] is True
+    # eight wins are too few, however large
+    entry = bench_pairs.summarise(_runs("throughput_rps", parent, [130.0] * 8 + [99.0] * 2), [RPS])["throughput_rps"]
+    assert entry["change_won_pairs"] == 8 and entry["paired_gain_rule_met"] is False
+    # one pair has no quartiles
+    entry = bench_pairs.summarise(_runs("throughput_rps", [100.0], [150.0]), [RPS])["throughput_rps"]
+    assert entry["pair_ratio"]["q1"] is None and entry["paired_gain_rule_met"] is False

@@ -400,6 +400,21 @@ def test_int_past_the_str_digit_limit_exits_2(mode, what, json_flag, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.11")
+def test_printable_rejects_exactly_the_values_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    # 3 * limit bits stay below 8^limit; the largest values of limit digits
+    # are longer and take the exact comparison
+    ok = [0, (1 << 3 * limit) - 1, -(1 << 3 * limit), 10**limit - 1, -(10**limit - 1)]
+    assert cli._printable(iter(ok), "rank") == ok
+    assert cli._printable([], "rank") == []
+    for bad in (10**limit, -(10**limit), 1 << 4 * limit):
+        with pytest.raises(cli.SchemaError) as err:
+            cli._printable([1, bad, 2], "rank")
+        assert err.value.location == "--N"
+        assert str(err.value).startswith(f"--N: a rank has more than {limit} decimal digits")
+
+
 def _outcome(argv, capsys):
     """(exit code, stdout, stderr) of cli.main, usage errors included."""
     try:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from meanexp.arith import kronecker, sieve_primes
+from meanexp.arith import kronecker, primes_between, sieve_primes
 from meanexp.errors import DegenerateFieldError, DomainError
 from meanexp.fields import (
     FieldDescriptor,
@@ -15,6 +15,7 @@ from meanexp.fields import (
     log_disc_with_tame_conductor,
     norms_above,
     quadratic_field,
+    quadratic_subfield,
     ramified_place_count,
     split_primes_between,
     splitting_type,
@@ -262,15 +263,18 @@ def test_split_primes_between_matches_three_characters(name, fld):
         assert all(norms_above(fld, ell) == [(ell, 2)] for ell in want)
 
 
+def _two_part(D):
+    """D over its odd part, the odd part signed to be 1 mod 4 (a product of
+    prime discriminants is): 1, -4, 8 or -8."""
+    m = D
+    while m % 2 == 0:
+        m //= 2
+    return D // (m if m % 4 == 1 else -m)
+
+
 def test_quadratic_radicands_cover_every_two_part_and_sign():
-    seen = set()
-    for r in QUADRATIC_RADICANDS:
-        D = quadratic_field(r).subfield_discs[0]
-        m = D
-        while m % 2 == 0:
-            m //= 2
-        odd_part = m if m % 4 == 1 else -m  # a product of prime discriminants is 1 mod 4
-        seen.add((D // odd_part, D > 0))
+    discs = [quadratic_field(r).subfield_discs[0] for r in QUADRATIC_RADICANDS]
+    seen = {(_two_part(D), D > 0) for D in discs}
     assert seen == {(t, sign) for t in (1, -4, 8, -8) for sign in (True, False)}
 
 
@@ -298,3 +302,105 @@ def test_split_primes_between_large_discriminant_prime():
         want = _three_character_split(fld, sieve_primes(20_000))
         assert split_primes_between(fld, 1, 20_000) == want
         assert split_primes_between(fld, 7_001, 20_000) == [ell for ell in want if ell > 7_001]
+
+
+# fields for the per-prime reference: the packaged ones; a quadratic with a
+# -4 part (D = 60), with a +8 part (D = 520) and with a -8 part (D = 24);
+# fields where 2 splits completely (D = -7; D1 = -7, D2 = 17); and prime
+# discriminants past _PATTERN_LIMIT (65537), which take the per-prime path
+REFERENCE_CASES = [(name, _packaged_field(name)) for name in PACKAGED] + [
+    ("15", quadratic_field(15)),
+    ("130", quadratic_field(2 * 5 * 13)),
+    ("6", quadratic_field(6)),
+    ("-7", quadratic_field(-7)),
+    ("-7,17", biquadratic_field([-7], [17])),
+    ("196611", quadratic_field(3 * 65_537)),
+    ("65537,-1", biquadratic_field([65_537], [-1])),
+]
+
+
+def _reference_split(fld, lo, hi):
+    """The fully split primes of (lo, hi], one norms_above call per prime."""
+    full = 4 if fld.degree == 4 else 2
+    return [ell for ell in primes_between(lo, hi) if norms_above(fld, ell) == [(ell, full)]]
+
+
+def test_reference_cases_cover_every_two_part_and_the_prime_2():
+    cases = dict(REFERENCE_CASES)
+    assert [_two_part(cases[name].subfield_discs[0]) for name in ("-7", "15", "130", "6")] == [1, -4, 8, -8]
+    for name in ("-7", "-7,17"):
+        assert split_primes_between(cases[name], 1, 2) == [2] == _reference_split(cases[name], 1, 2)
+
+
+@pytest.mark.parametrize("name, fld", REFERENCE_CASES, ids=[name for name, _ in REFERENCE_CASES])
+def test_split_primes_between_matches_per_prime_reference(name, fld):
+    rng = random.Random(f"split/{name}")
+    segments = [(lo, lo + length) for lo in (1, 2, 3, 4) for length in (1, 2, 3, 50)]
+    for q in fld.ramified_primes():
+        # bounds on a ramified prime, from either side
+        segments += [(q, q + 1), (q - 1, q), (q, q + 2), (max(1, q - 2), q), (max(1, q - 30), q + 30)]
+    for _ in range(40):
+        lo = rng.randrange(1, 300_000)
+        segments.append((lo, lo + rng.choice([1, 2, 3, rng.randrange(1, 20_000)])))
+    assert {lo % 2 for lo, _ in segments} == {0, 1}
+    for lo, hi in segments:
+        assert split_primes_between(fld, lo, hi) == _reference_split(fld, lo, hi), (lo, hi)
+
+
+def test_quadratic_subfield_is_the_first_radicands_field():
+    rng = random.Random(11)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    pairs = [(EX1_D1, [-1, 3]), ([-1], [2]), ([5], [-1, 5]), ([3, 3, 5], [3, 7]), ([2, 2, 3], [-2])]
+    for _ in range(200):
+        pairs.append(tuple([-1] * rng.randrange(2) + rng.choices(primes, k=rng.randrange(1, 5)) for _ in range(2)))
+    built = 0
+    for d1, d2 in pairs:
+        try:
+            fld = biquadratic_field(d1, d2)
+        except (DegenerateFieldError, DomainError):
+            continue
+        want, got = quadratic_field(d1), quadratic_subfield(fld)
+        assert got == want and list(got.abs_disc_factored.items()) == list(want.abs_disc_factored.items()), (d1, d2)
+        built += 1
+    assert built > 100
+    k = quadratic_field(-7)
+    assert quadratic_subfield(k) is k
+
+
+@pytest.mark.parametrize(
+    "d1, d2, error, message",
+    [
+        ([5], [5], DegenerateFieldError, "the two radicands generate the same quadratic field"),
+        ([5], [5, 3, 3], DegenerateFieldError, "the two radicands generate the same quadratic field"),
+        ([3, 3], [5], DomainError, "radicand is a perfect square; the field is degenerate"),
+        ([5], [2, 2], DomainError, "radicand is a perfect square; the field is degenerate"),
+        # the first radicand's fault is the one reported
+        ([3, 3], [3, 5], DomainError, "radicand is a perfect square; the field is degenerate"),
+        ([3, 5], [3, 3], DomainError, "radicand is a perfect square; the field is degenerate"),
+        ([4, 3], [5], DomainError, "4 is not prime; radicands must be given factored"),
+        ([3, 3], [4], DomainError, "radicand is a perfect square; the field is degenerate"),
+        ([4], [9], DomainError, "4 is not prime; radicands must be given factored"),
+        ([5], [0], DomainError, "factor lists may not contain 0 or 1"),
+        (7, 1, DomainError, "radicand must not be 0 or 1"),
+    ],
+)
+def test_biquadratic_errors_name_the_first_fault(d1, d2, error, message):
+    with pytest.raises(error) as err:
+        biquadratic_field(d1, d2)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_each_radicand_factor_is_tested_once_per_parse(monkeypatch):
+    import json
+    from importlib import resources
+
+    from meanexp import fields
+    from meanexp.scenario import parse_scenario
+
+    data = json.loads(resources.files("meanexp").joinpath("scenarios", "example2.json").read_text())
+    calls = []
+    real = fields.is_prime
+    monkeypatch.setattr(fields, "is_prime", lambda n: calls.append(n) or real(n))
+    parse_scenario(data)
+    spec = data["field"]
+    assert sorted(calls) == sorted(f for f in spec["d1_factors"] + spec["d2_factors"] if f > 0)

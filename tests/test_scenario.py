@@ -479,9 +479,11 @@ def test_dump_report_peak_memory_stays_below_indented_json():
         peaks = []
         for dump, obj in ((dump_report, payload), (_indented, twin)):
             tracemalloc.start()
-            text = dump(obj)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            try:
+                text = dump(obj)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
             del text
         assert peaks[0] <= peaks[1], peaks
 
