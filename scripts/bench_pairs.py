@@ -28,6 +28,17 @@ the bound, else ``within_bound``.  The file also holds both commits, the
 seeds and every run's result and run record.  It is rewritten after every
 run, so an interrupted session still leaves the runs made so far.  Standard
 library only.
+
+Before the workloads, a ``cli_processes`` pass times each command of the
+README's CLI section as a fresh ``python -m meanexp.cli`` process in both
+copies, with the child environment perfbench gives its processes, and
+``python -c pass`` as the interpreter's start-up.  It makes CLI_RUNS rounds;
+a round runs every command once per side, the side that goes first
+alternating by command and round.  Per command the section holds each side's
+median and quartiles in seconds, its exit codes, the rounds the change won,
+and ``change_over_parent_excl_startup``: the change's median less its
+start-up median, over the parent's median less its start-up median.  Every
+timed process is kept in ``cli_process_runs``.
 """
 
 from __future__ import annotations
@@ -35,14 +46,32 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the README's CLI section, with its placeholder scenario path filled in
+CLI_COMMANDS = [
+    ["mean-exponent", "--shape", "p:2,exps:3,1"],
+    ["genus-bound", "--rho", "6", "--r1", "1", "--r2", "0", "--delta", "1"],
+    ["gs-check", "--d", "16", "--r-upper", "48"],
+    ["critere", "--rho", "8", "--t-dec", "0", "--t-total", "1"],
+    ["paper-example", "2", "--json"],
+    ["tv-bound", "--scenario", "src/meanexp/scenarios/example2.json"],
+    ["propgroup", "series", "--d", "4", "--r", "4", "--N", "8"],
+    ["propgroup", "ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "8"],
+    ["propgroup", "witnesses", "--d", "4", "--r", "4", "--p", "3", "--N", "6", "--eps", "0.5"],
+    ["oracle", "class-group", "--disc", "-23"],
+]
+STARTUP = "python -c pass"
+CLI_RUNS = 15
 
 
 def git(*args: str) -> str:
@@ -121,6 +150,57 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def child_env() -> dict:
+    """The environment of perfbench's child processes (``workloads.child_env``)."""
+    return dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+
+
+def process_seconds(copy: Path, args: list[str]) -> tuple[int, float]:
+    """Exit code and wall time of one fresh interpreter running args in copy."""
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=copy, env=child_env(), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return proc.returncode, perf_counter() - t0
+
+
+def time_processes(workdir: Path) -> list[dict]:
+    """CLI_RUNS rounds of every CLI command, and of the bare start-up, per side."""
+    commands = {STARTUP: ["-c", "pass"]}
+    commands.update({"meanexp " + " ".join(argv): ["-m", "meanexp.cli", *argv] for argv in CLI_COMMANDS})
+    runs = []
+    for i in range(CLI_RUNS):
+        for j, (name, args) in enumerate(commands.items()):
+            for side in ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent"):
+                code, seconds = process_seconds(workdir / side, args)
+                runs.append({"command": name, "round": i, "side": side, "exit": code, "seconds": seconds})
+    return runs
+
+
+def summarise_processes(runs: list[dict]) -> dict:
+    """Per command: each side's spread, its exit codes, the rounds the change
+    won, and the ratio of the medians with each side's start-up taken off."""
+    times: dict[str, dict[str, dict[int, float]]] = {}
+    exits: dict[str, dict[str, set]] = {}
+    for run in runs:
+        times.setdefault(run["command"], {}).setdefault(run["side"], {})[run["round"]] = run["seconds"]
+        exits.setdefault(run["command"], {}).setdefault(run["side"], set()).add(run["exit"])
+    startup = {side: spread(list(times.get(STARTUP, {}).get(side, {}).values()))["median"]
+               for side in ("parent", "change")}
+    out = {}
+    for name, sides in times.items():
+        parent, change = sides.get("parent", {}), sides.get("change", {})
+        rounds = sorted(parent.keys() & change.keys())
+        entry = {"unit": "s", "rounds": len(rounds),
+                 "parent": spread([parent[i] for i in rounds]), "change": spread([change[i] for i in rounds]),
+                 "exits": {side: sorted(codes) for side, codes in exits[name].items()},
+                 "change_won_rounds": sum(change[i] < parent[i] for i in rounds)}
+        if rounds and name != STARTUP and None not in startup.values():
+            entry["change_over_parent_excl_startup"] = (
+                (entry["change"]["median"] - startup["change"]) / (entry["parent"]["median"] - startup["parent"]))
+        out[name] = entry
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
@@ -150,6 +230,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     out = Path(args.out)
+    report["cli_process_runs"] = time_processes(workdir)
+    report["cli_processes"] = summarise_processes(report["cli_process_runs"])
+    out.write_text(json.dumps(report, indent=1) + "\n")
     for workload in args.workload:
         runs: list[dict] = []
         for i, seed in enumerate(seeds):

@@ -16,3 +16,9 @@ The library computes, at desk scale:
 """
 
 __version__ = "0.1.0"
+
+#: Largest n_max of the witness scan (`propgroups.theo2_witnesses`, and
+#: `propgroup witnesses --N`): beyond it the window end 2^(n+1) of the
+#: float-log regime overflows a float.  It lives here so that the CLI reads
+#: it without importing propgroups.
+WITNESS_N_MAX = 1022

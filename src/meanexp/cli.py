@@ -6,6 +6,13 @@ infeasible optimization budget, 4 internal inconsistency, 64 unknown
 subcommand, 141 output pipe closed before the output was written.
 Output is human-readable by default and JSON with --json; JSON output for
 a fixed input is byte-stable across runs.
+
+Each subcommand imports its own module when it runs, so a process loads
+only what its subcommand needs: every process loads this module, the
+error types and the JSON writer (`report`); mean-exponent adds groups,
+genus-bound, gs-check and critere add towers, propgroup adds propgroups,
+oracle adds oracle and groups, and tv-bound and paper-example add the
+scenario pipeline.
 """
 
 from __future__ import annotations
@@ -14,16 +21,15 @@ import argparse
 import functools
 import os
 import sys
-from importlib import resources
 
-from . import oracle, propgroups, scenario, towers
+from . import WITNESS_N_MAX
 from .errors import (
     InfeasibleProblemError,
     InternalInconsistencyError,
     MeanexpError,
     SchemaError,
 )
-from .groups import AbelianPShape, mean_exponent, order_log, rank
+from .report import dump_report
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -44,8 +50,10 @@ def _int_arg(text: str, flag: str) -> int:
         raise SchemaError(f"expected an integer, got {text!r}", location=flag) from None
 
 
-def _parse_shape(text: str) -> AbelianPShape:
-    """Parse 'p:2,exps:3,1' into a group shape."""
+def _parse_shape(text: str):
+    """Parse 'p:2,exps:3,1' into a group shape (`groups.AbelianPShape`)."""
+    from .groups import AbelianPShape
+
     p = None
     exps: list[int] = []
     mode = None
@@ -70,7 +78,7 @@ def _parse_shape(text: str) -> AbelianPShape:
 
 def _emit(payload: dict, args, text_lines=None) -> None:
     if args.json:
-        print(scenario.dump_report(payload, precision=args.precision))
+        print(dump_report(payload, precision=args.precision))
     else:
         for line in text_lines if text_lines is not None else _default_lines(payload):
             print(line)
@@ -86,17 +94,19 @@ def _default_lines(payload: dict, prefix: str = ""):
             yield f"{prefix}{key}: {value}"
 
 
-def _scenario_path(name: str):
-    return resources.files(__package__).joinpath("scenarios", f"{name}.json")
-
-
 def run_packaged_example(name: str) -> dict:
-    path = _scenario_path(name)
+    from importlib import resources
+
+    from .scenario import run_scenario
+
+    path = resources.files(__package__).joinpath("scenarios", f"{name}.json")
     with resources.as_file(path) as concrete:
-        return scenario.run_scenario(concrete)
+        return run_scenario(concrete)
 
 
 def _cmd_mean_exponent(args) -> dict:
+    from .groups import mean_exponent, order_log, rank
+
     shape = _parse_shape(args.shape)
     me = mean_exponent(shape)
     return {
@@ -109,11 +119,15 @@ def _cmd_mean_exponent(args) -> dict:
 
 
 def _cmd_genus_bound(args) -> dict:
+    from . import towers
+
     bound = towers.genus_rank_bound(args.rho, args.r1, args.r2, args.delta)
     return {"rho": args.rho, "r1": args.r1, "r2": args.r2, "delta": args.delta, "bound": bound}
 
 
 def _cmd_gs_check(args) -> dict:
+    from . import towers
+
     verdict = towers.gs_verdict(args.d, args.r_upper)
     return {
         "d": args.d,
@@ -124,6 +138,8 @@ def _cmd_gs_check(args) -> dict:
 
 
 def _cmd_critere(args) -> dict:
+    from . import towers
+
     ok = towers.critere_real_quadratic(args.rho, args.t_dec, args.t_total)
     return {
         "rho": args.rho,
@@ -134,7 +150,9 @@ def _cmd_critere(args) -> dict:
 
 
 def _cmd_tv_bound(args) -> dict:
-    return scenario.run_scenario(args.scenario)
+    from .scenario import run_scenario
+
+    return run_scenario(args.scenario)
 
 
 def _cmd_paper_example(args) -> dict:
@@ -149,7 +167,7 @@ def _cmd_paper_example(args) -> dict:
 #: Largest --N per propgroup mode.  series and ranks hold N + 1 big
 #: integers whose size grows linearly in n; past witnesses' limit the
 #: float-log window ends 2^(N+1) no longer convert to floats.
-PROPGROUP_N_MAX = {"series": 10_000, "ranks": 10_000, "witnesses": propgroups.WITNESS_N_MAX}
+PROPGROUP_N_MAX = {"series": 10_000, "ranks": 10_000, "witnesses": WITNESS_N_MAX}
 
 #: Largest --d of witnesses is 10^WITNESS_D_EXP, and --r at most its square.
 #: The exact rows hold the power sums V_m, m <= 4095, of the reciprocal roots
@@ -187,6 +205,8 @@ def _cmd_propgroup(args) -> dict:
         raise SchemaError(f"expected at most 10^{WITNESS_D_EXP} for witnesses, got {args.d}", location="--d")
     if args.mode == "witnesses" and args.r > WITNESS_D_MAX**2:
         raise SchemaError(f"expected at most 10^{2 * WITNESS_D_EXP} for witnesses, got {args.r}", location="--r")
+    from . import propgroups
+
     params = propgroups.GSGroupParams(
         d=args.d,
         r=args.r,
@@ -213,6 +233,9 @@ def _cmd_propgroup(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    from . import oracle
+    from .groups import mean_exponent
+
     D = args.disc
     h, shapes = oracle.class_group(D)
     structures = {str(p): shape.to_json() for p, shape in shapes.items()}

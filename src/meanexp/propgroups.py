@@ -38,16 +38,13 @@ import math
 from dataclasses import dataclass
 from operator import sub
 
+from . import WITNESS_N_MAX
 from .arith import is_prime, left_sum, sieve_primes
 from .errors import DomainError, InapplicableError, SeriesError
 
 #: Largest order kept in exact big-integer arithmetic; beyond this the
 #: witness scan switches to log-domain floats (relative error <= 1e-6).
 EXACT_ORDER_LIMIT = 4096
-
-#: Largest n_max of the witness scan: beyond it the window end 2^(n+1)
-#: of the float-log regime overflows a float.
-WITNESS_N_MAX = 1022
 
 
 @dataclass(frozen=True)

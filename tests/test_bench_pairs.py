@@ -97,3 +97,50 @@ def test_paired_rule_counts_wins_and_needs_a_quartile(bench_pairs):
     # one pair has no quartiles
     entry = bench_pairs.summarise(_runs("throughput_rps", [100.0], [150.0]), [RPS])["throughput_rps"]
     assert entry["pair_ratio"]["q1"] is None and entry["paired_gain_rule_met"] is False
+
+
+def _process_runs(times: dict[str, tuple[list[float], list[float]]]) -> list[dict]:
+    """One run per command, side and round, round i holding parent[i] and change[i]."""
+    return [{"command": name, "round": i, "side": side, "exit": 0, "seconds": seconds}
+            for name, (parent, change) in times.items() for i, pair in enumerate(zip(parent, change))
+            for side, seconds in zip(("parent", "change"), pair)]
+
+
+def test_cli_processes_take_start_up_off_each_side(bench_pairs):
+    startup = bench_pairs.STARTUP
+    runs = _process_runs({
+        startup: ([0.050, 0.052, 0.048], [0.060, 0.062, 0.058]),
+        "meanexp oracle class-group --disc -23": ([0.120, 0.125, 0.118], [0.090, 0.091, 0.130]),
+    })
+    runs[-1]["exit"] = 2
+    summary = bench_pairs.summarise_processes(runs)
+    assert set(summary) == {startup, "meanexp oracle class-group --disc -23"}
+    entry = summary["meanexp oracle class-group --disc -23"]
+    assert entry["rounds"] == 3 and entry["change_won_rounds"] == 2
+    assert entry["parent"]["median"] == 0.120 and entry["change"]["median"] == 0.091
+    # (0.091 - 0.060) / (0.120 - 0.050): the change's own start-up is the slower one
+    assert entry["change_over_parent_excl_startup"] == pytest.approx(0.031 / 0.070)
+    assert entry["exits"] == {"parent": [0], "change": [0, 2]}
+    assert summary[startup]["change"]["median"] == 0.060
+    assert "change_over_parent_excl_startup" not in summary[startup]
+    # without a start-up line there is nothing to take off
+    assert "change_over_parent_excl_startup" not in bench_pairs.summarise_processes(runs[6:])[
+        "meanexp oracle class-group --disc -23"]
+
+
+def test_cli_commands_are_the_readme_commands(bench_pairs):
+    readme = (SCRIPT.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()]
+    placeholder = ["--scenario", "path/to/scenario.json"]
+    listed = [argv[:1] + ["--scenario", "src/meanexp/scenarios/example2.json"] if argv[1:] == placeholder else argv
+              for argv in listed]
+    assert bench_pairs.CLI_COMMANDS == listed
+
+
+def test_cli_processes_run_in_perfbench_child_environment(bench_pairs):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  SCRIPT.parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert bench_pairs.child_env() == workloads.child_env()

@@ -543,3 +543,66 @@ def test_propgroup_reads_a_relation_count_of_any_size(mode, capsys):
     if mode == "series":
         # 1 / (1 - dT + rT^2) = 1 + dT + (d^2 - r)T^2 + (d^3 - 2dr)T^3 + ...
         assert json.loads(out)["coeffs"] == [1, d, d * d - r, d**3 - 2 * d * r]
+
+
+def test_propgroup_n_maxima_in_help_and_errors(capsys):
+    # the witness maximum is defined once, where cli reads it without
+    # importing propgroups; the help text and both error paths agree on it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["propgroup", "--help"])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0
+    assert ("order (series, ranks; at most 10000) or last n of the scan (witnesses; at most 1022)"
+            in " ".join(out.split()))
+    code, out, err = run_cli(["propgroup", "witnesses", "--d", "4", "--r", "4", "--N", "1023"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "meanexp: invalid input: --N: expected at most 1022 for witnesses, got 1023\n"
+    with pytest.raises(propgroups.DomainError, match="n_max must be at most 1022, got 1023"):
+        propgroups.theo2_witnesses(propgroups.GSGroupParams(d=4, r=4, p=3), 0.5, 1023)
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The package's modules a fresh interpreter holds after running code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (f"import sys\n{code}\n"
+              "print(*sorted(name for name in sys.modules if name.partition('.')[0] == 'meanexp'))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_only_its_frame():
+    assert _loaded_modules("import meanexp.cli") == {"meanexp", "meanexp.cli", "meanexp.errors", "meanexp.report"}
+
+
+_PIPELINE = ("scenario", "fields", "tv", "towers")
+
+
+@pytest.mark.parametrize(
+    "argv, module, absent",
+    [
+        (["mean-exponent", "--shape", "p:2,exps:3,1"], "groups", (*_PIPELINE, "propgroups", "oracle")),
+        (["genus-bound", "--rho", "6", "--r1", "1", "--r2", "0", "--delta", "1"], "towers",
+         ("scenario", "fields", "tv", "propgroups", "oracle", "groups")),
+        (["gs-check", "--d", "16", "--r-upper", "48"], "towers", ("scenario", "propgroups", "oracle", "groups")),
+        (["critere", "--rho", "8", "--t-dec", "0", "--t-total", "1"], "towers",
+         ("scenario", "propgroups", "oracle", "groups")),
+        (["propgroup", "ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "8", "--json"], "propgroups",
+         (*_PIPELINE, "oracle", "groups")),
+        (["propgroup", "witnesses", "--d", "4", "--r", "4", "--p", "3", "--N", "6"], "propgroups",
+         (*_PIPELINE, "oracle", "groups")),
+        (["oracle", "class-group", "--disc", "-4620", "--json"], "oracle", (*_PIPELINE, "propgroups")),
+        (["paper-example", "2", "--json"], "scenario", ("propgroups", "oracle", "groups")),
+    ],
+    ids=["mean-exponent", "genus-bound", "gs-check", "critere", "propgroup-ranks", "propgroup-witnesses", "oracle",
+         "paper-example"],
+)
+def test_a_subcommand_loads_only_its_own_module(argv, module, absent):
+    """A CLI process loads the CLI's frame plus its subcommand's module and
+    what that module imports, and no other subcommand's module."""
+    ran = _loaded_modules(
+        "import contextlib, io\nfrom meanexp import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0")
+    assert ran == _loaded_modules(f"import meanexp.cli, meanexp.{module}")
+    assert not ran & {f"meanexp.{name}" for name in absent}

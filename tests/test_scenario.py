@@ -18,17 +18,16 @@ from meanexp import cli, fields, tv
 from meanexp import scenario as scenario_module
 from meanexp.arith import PrimePower, sieve_primes
 from meanexp.errors import InfeasibleProblemError, NeedsLargerEnumerationError, SchemaError
+from meanexp.report import PrefixRows, _round_floats, dump_report
 from meanexp.scenario import (
     _MAX_NORM_BOUND,
     NORM_BOUND_MAX,
     CandidateInfo,
-    PrefixRows,
     SplitRun,
     _candidate_for_prime,
     _derived_sigma_fixed,
     build_candidates,
     candidate_stream,
-    dump_report,
     parse_scenario,
     run_scenario_data,
     run_scenario_obj,
@@ -781,7 +780,7 @@ def test_dump_report_writes_prefix_views_as_json_reads_their_rows(view, path):
     for in_dict in path:
         obj = {"tv": obj, "x": 1.2345} if in_dict else [0.5, obj]
     assert dump_report(obj) == _indented_rows(obj)
-    assert dump_report(obj, precision=3) == json.dumps(scenario_module._round_floats(json.loads(
+    assert dump_report(obj, precision=3) == json.dumps(_round_floats(json.loads(
         _indented_rows(obj)), 3), sort_keys=True, indent=2)
 
 
@@ -1065,3 +1064,9 @@ def test_every_key_swap_raises_only_schema_error():
 def test_parse_scenario_fuzz_raises_only_schema_error(mutations):
     """Type swaps, deleted keys, nan/inf and bools on every key of MINIMAL."""
     _parses_or_schema_error(_mutated(mutations))
+
+
+def test_scenario_binds_the_writer():
+    # scenario.dump_report and scenario.PrefixRows stay public names
+    assert scenario_module.dump_report is dump_report
+    assert scenario_module.PrefixRows is PrefixRows
