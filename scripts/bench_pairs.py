@@ -44,9 +44,9 @@ timed process is kept in ``cli_process_runs``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -150,28 +150,32 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def child_env() -> dict:
-    """The environment of perfbench's child processes (``workloads.child_env``)."""
-    return dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+def perfbench_child_env() -> dict:
+    """The environment perfbench gives its child processes (``workloads.child_env``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.child_env()
 
 
-def process_seconds(copy: Path, args: list[str]) -> tuple[int, float]:
+def process_seconds(copy: Path, args: list[str], env: dict) -> tuple[int, float]:
     """Exit code and wall time of one fresh interpreter running args in copy."""
     t0 = perf_counter()
-    proc = subprocess.run([sys.executable, *args], cwd=copy, env=child_env(), stdout=subprocess.DEVNULL,
+    proc = subprocess.run([sys.executable, *args], cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL)
     return proc.returncode, perf_counter() - t0
 
 
 def time_processes(workdir: Path) -> list[dict]:
     """CLI_RUNS rounds of every CLI command, and of the bare start-up, per side."""
+    env = perfbench_child_env()
     commands = {STARTUP: ["-c", "pass"]}
     commands.update({"meanexp " + " ".join(argv): ["-m", "meanexp.cli", *argv] for argv in CLI_COMMANDS})
     runs = []
     for i in range(CLI_RUNS):
         for j, (name, args) in enumerate(commands.items()):
             for side in ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent"):
-                code, seconds = process_seconds(workdir / side, args)
+                code, seconds = process_seconds(workdir / side, args, env)
                 runs.append({"command": name, "round": i, "side": side, "exit": code, "seconds": seconds})
     return runs
 

@@ -137,10 +137,3 @@ def test_cli_commands_are_the_readme_commands(bench_pairs):
               for argv in listed]
     assert bench_pairs.CLI_COMMANDS == listed
 
-
-def test_cli_processes_run_in_perfbench_child_environment(bench_pairs):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  SCRIPT.parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    assert bench_pairs.child_env() == workloads.child_env()
