@@ -7,13 +7,13 @@ need floats convert at the boundary.  All functions are pure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from math import gcd, isqrt
 from operator import add
 
 from .errors import DomainError
+from .frozen import Frozen
 
 # Witnesses making Miller-Rabin deterministic below 3.3 * 10^24 (> 2^64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -199,12 +199,10 @@ def tame_local_sum(norms, p: int, split_completely: bool = False) -> int:
     return sum(tame_local_factor(q, p, split_completely=split_completely) for q in norms)
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(Frozen):
     """A prime power q = ell^m, kept factored."""
 
-    ell: int
-    m: int
+    __slots__ = ("ell", "m")
 
     def __post_init__(self):
         if self.m < 1:

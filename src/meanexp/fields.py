@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from math import log, prod
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .arith import PrimePower, factor, is_prime, kronecker, left_sum, prime_flags
 from .errors import DegenerateFieldError, DomainError
+from .frozen import Frozen
 
 
 class SplitType(enum.Enum):
@@ -61,11 +61,10 @@ def _factor_map(factors) -> tuple[int, dict[int, int]]:
     return sign, out
 
 
-@dataclass(frozen=True)
-class QuadraticSpec:
+class QuadraticSpec(Frozen):
     """A quadratic field given by a factored radicand (sign included)."""
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors",)
 
     @classmethod
     def of(cls, radicand) -> "QuadraticSpec":
@@ -112,17 +111,14 @@ def fundamental_discriminant(radicand) -> int:
     return _value(*fundamental_discriminant_factored(radicand))
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Frozen):
     """Degree, signature and factored discriminant data of a field in scope."""
 
-    degree: int
-    r1: int
-    r2: int
-    abs_disc_factored: dict[int, int] = field(compare=False)
-    # fundamental discriminants of the quadratic subfields:
-    # one entry for a quadratic field, three for a biquadratic one
-    subfield_discs: tuple[int, ...] = ()
+    # subfield_discs: the fundamental discriminants of the quadratic subfields,
+    # one for a quadratic field, three for a biquadratic one
+    __slots__ = ("degree", "r1", "r2", "abs_disc_factored", "subfield_discs")
+    _defaults = {"subfield_discs": ()}
+    _key = attrgetter("degree", "r1", "r2", "subfield_discs")  # not abs_disc_factored
 
     def __post_init__(self):
         if self.r1 + 2 * self.r2 != self.degree:

@@ -7,23 +7,22 @@ output boundaries, so published-decimal comparisons see a single rounding.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
 from .errors import DomainError, InconsistentParametersError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class AbelianPShape:
+class AbelianPShape(Frozen):
     """A finite abelian p-group as sorted elementary-divisor exponents.
 
     exps = (a_1, ..., a_d) with a_1 >= ... >= a_d >= 1 describes the group
     Z/p^a_1 x ... x Z/p^a_d; the empty tuple is the trivial group.
     """
 
-    p: int
-    exps: tuple[int, ...] = ()
+    __slots__ = ("p", "exps")
+    _defaults = {"exps": ()}
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -58,20 +57,14 @@ def order_log(shape: AbelianPShape) -> int:
     return sum(shape.exps)
 
 
-@dataclass(frozen=True)
-class IwasawaParams:
+class IwasawaParams(Frozen):
     """Growth invariants along a Z_p-extension.
 
     Order grows as mu * p^n + lambda * n + nu while the rank grows as
     s * p^n + lambda + c; mu vanishes exactly when s does, which is enforced.
     """
 
-    p: int
-    mu: int
-    lam: int
-    nu: int
-    s: int
-    c: int
+    __slots__ = ("p", "mu", "lam", "nu", "s", "c")
 
     def __post_init__(self):
         if not is_prime(self.p):

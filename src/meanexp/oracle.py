@@ -28,11 +28,12 @@ no NUCOMP, and no baby-step giant-step.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import total_ordering
 from math import gcd, isqrt
 
 from .arith import factor
 from .errors import DomainError, InternalInconsistencyError
+from .frozen import Frozen, set_key
 from .groups import AbelianPShape
 
 
@@ -41,13 +42,20 @@ def _check_disc(D: int) -> None:
         raise DomainError(f"discriminant must be negative and 0 or 1 mod 4, got {D}")
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    """Primitive positive-definite form a*x^2 + b*x*y + c*y^2."""
+@total_ordering
+class QuadForm(Frozen):
+    """Primitive positive-definite form a*x^2 + b*x*y + c*y^2; forms order as (a, b, c)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        set_key(self, (a, b, c))
+
+    def __lt__(self, other):
+        return self._k < other._k if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def disc(self) -> int:
@@ -59,6 +67,9 @@ class QuadForm:
 
     def inverse(self) -> "QuadForm":
         return reduce_form(QuadForm(self.a, -self.b, self.c))
+
+
+_set_a, _set_b, _set_c = QuadForm._setters
 
 
 def reduce_form(f: QuadForm) -> QuadForm:

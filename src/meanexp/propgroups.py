@@ -35,27 +35,24 @@ d^2 - 4r) shares no code with this route and serves as a check on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import sub
 
 from . import WITNESS_N_MAX
 from .arith import is_prime, left_sum, sieve_primes
 from .errors import DomainError, InapplicableError, SeriesError
+from .frozen import Frozen
 
 #: Largest order kept in exact big-integer arithmetic; beyond this the
 #: witness scan switches to log-domain floats (relative error <= 1e-6).
 EXACT_ORDER_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class GSGroupParams:
+class GSGroupParams(Frozen):
     """Presentation data: d generators, r relations with given degrees
     (no degrees: all r relations are quadratic)."""
 
-    d: int
-    r: int
-    p: int
-    relation_degrees: tuple[int, ...] = ()
+    __slots__ = ("d", "r", "p", "relation_degrees")
+    _defaults = {"relation_degrees": ()}
 
     def __post_init__(self):
         if self.d < 1:
@@ -80,9 +77,8 @@ class GSGroupParams:
         return self.quadratic and self.d * self.d >= 4 * self.r
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
-    coeffs: tuple[int, ...]
+class SeriesExpansion(Frozen):
+    __slots__ = ("coeffs",)
 
     def __post_init__(self):
         if not self.coeffs or self.coeffs[0] != 1:
@@ -92,10 +88,8 @@ class SeriesExpansion:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class ZassenhausRanks:
-    p: int
-    b: tuple[int, ...]  # b[0] is b_1
+class ZassenhausRanks(Frozen):
+    __slots__ = ("p", "b")  # b[0] is b_1
 
     def rank(self, i: int) -> int:
         if not 1 <= i <= len(self.b):
@@ -287,8 +281,7 @@ def window_rank(ranks: ZassenhausRanks, n: int) -> int:
     return sum(ranks.b[2**n - 1 : top])
 
 
-@dataclass(frozen=True)
-class WitnessRow:
+class WitnessRow(Frozen):
     """One row of the growth-witness scan.
 
     In the "exact" regime index_log, window_rank and rhs are the literal
@@ -297,22 +290,10 @@ class WitnessRow:
     order-preserving so `satisfied` means the same thing in both regimes.
     """
 
-    n: int
-    index_log: float
-    window_rank: float
-    rhs: float
-    satisfied: bool
-    regime: str
+    __slots__ = ("n", "index_log", "window_rank", "rhs", "satisfied", "regime")
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "index_log": self.index_log,
-            "window_rank": self.window_rank,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "regime": self.regime,
-        }
+        return dict(zip(self._fields, self._k))
 
 
 def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:

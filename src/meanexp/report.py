@@ -205,10 +205,6 @@ def _round_floats(obj, precision: int):
     if isinstance(obj, list):
         return [_round_floats(v, precision) for v in obj]
     if type(obj) is PrefixRows:
-        # the records are dataclasses, so dataclasses is loaded whenever a
-        # view exists; a process that prints no scenario never imports it
-        from dataclasses import replace
-
         # weight_num is the one value of a row that can be a float
-        return PrefixRows(replace(rec, weight_num=_round_floats(rec.weight_num, precision)) for rec in obj.records)
+        return PrefixRows(rec._replace(weight_num=_round_floats(rec.weight_num, precision)) for rec in obj.records)
     return obj

@@ -19,13 +19,13 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, takewhile
 from typing import Any
 
 from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
 from .fields import FieldDescriptor, field_from_spec, quadratic_subfield, splitting_type
+from .frozen import Frozen, set_key
 from . import fields, tv
 from .report import PrefixRows, dump_report  # dump_report stays a public name of this module
 from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verdict
@@ -96,55 +96,43 @@ def _entries(tvsec: dict, key: str, required: set[str]) -> list[tuple[str, dict]
     return [(f"tv.{key}[{i}]", entry) for i, entry in enumerate(entries)]
 
 
-@dataclass(frozen=True)
 class CandidateInfo(tv.Candidate):
     """A greedy candidate (`weight` = `weight_num` / g) plus the bookkeeping the report needs."""
 
-    weight_num: float  # in genus units
-    kind: str  # split_full | ram_split | inert_sq | total_ram | override | shifted
-    pinned: bool = False
+    # weight_num is in genus units; kind is one of
+    # split_full | ram_split | inert_sq | total_ram | override | shifted
+    __slots__ = ("weight_num", "kind", "pinned")
+
+    def __init__(self, prime: int, norm: int, weight: float, weight_num: float, kind: str, pinned: bool = False):
+        _set_prime(self, prime)
+        _set_norm(self, norm)
+        _set_weight(self, weight)
+        _set_weight_num(self, weight_num)
+        _set_kind(self, kind)
+        _set_pinned(self, pinned)
+        set_key(self, (prime, norm, weight, weight_num, kind, pinned))
 
 
-@dataclass(frozen=True)
+_set_prime, _set_norm, _set_weight, _set_weight_num, _set_kind, _set_pinned = CandidateInfo._setters
+
+
 class SplitRun(tv.CandidateRun):
     """Consecutive unnamed fully split primes, each its own candidate norm:
     one shared weight (`weight` = `weight_num` / g), kind `split_full`
     (`quadratic` in a quadratic field), never pinned."""
 
-    weight_num: float
-    kind: str
+    __slots__ = ("weight_num", "kind")
     pinned = False
 
     def candidate(self, prime: int) -> CandidateInfo:
         return CandidateInfo(prime, prime, self.weight, weight_num=self.weight_num, kind=self.kind)
 
 
-@dataclass
-class Scenario:
-    label: str
-    p: int
-    field: FieldDescriptor
-    base_quadratic: FieldDescriptor
-    g_override: float | None
-    t_dec: list[int]
-    t_inert: list[int]
-    epsilon_linear: float | None
-    coarse_B: float | None
-    alpha_signature: tuple[int, int] | None
-    C0: float | None
-    x0_num: float
-    x1_num: float
-    sigma_fixed_pin: list[tuple[int, float]] | None
-    eps_caps: dict[int, float]
-    splitting_overrides: dict[int, str]
-    capacity_overrides: dict[int, tuple[int, float]]
-    excluded: set[int]
-    b_deduction_nums: tuple[float, float] | None
-    norm_bound: int
-    s_norms: list[int]
-    ray_sigma_norms: list[int]
-    ray_sigma_split: bool
-    published_reference: dict
+class Scenario(Frozen):
+    __slots__ = ("label", "p", "field", "base_quadratic", "g_override", "t_dec", "t_inert", "epsilon_linear",
+                 "coarse_B", "alpha_signature", "C0", "x0_num", "x1_num", "sigma_fixed_pin", "eps_caps",
+                 "splitting_overrides", "capacity_overrides", "excluded", "b_deduction_nums", "norm_bound",
+                 "s_norms", "ray_sigma_norms", "ray_sigma_split", "published_reference")
 
     @property
     def genus(self) -> float:
@@ -259,32 +247,10 @@ def parse_scenario(data: dict) -> Scenario:
     published_reference = data.get("published_reference", {})
     _expect(isinstance(published_reference, dict), "published_reference must be an object", "published_reference")
 
-    return Scenario(
-        label=label,
-        p=p,
-        field=field,
-        base_quadratic=base,
-        g_override=g_override,
-        t_dec=t_dec,
-        t_inert=t_inert,
-        epsilon_linear=eps_lin,
-        coarse_B=coarse_B,
-        alpha_signature=alpha_sig,
-        C0=C0,
-        x0_num=float(x0_num),
-        x1_num=float(x1_num),
-        sigma_fixed_pin=sigma_pin,
-        eps_caps=eps_caps,
-        splitting_overrides=overrides,
-        capacity_overrides=cap_overrides,
-        excluded=excluded,
-        b_deduction_nums=b_ded,
-        norm_bound=norm_bound,
-        s_norms=s_norms,
-        ray_sigma_norms=ray_norms,
-        ray_sigma_split=ray_split,
-        published_reference=published_reference,
-    )
+    # in the order of Scenario's fields
+    return Scenario(label, p, field, base, g_override, t_dec, t_inert, eps_lin, coarse_B, alpha_sig, C0,
+                    float(x0_num), float(x1_num), sigma_pin, eps_caps, overrides, cap_overrides, excluded, b_ded,
+                    norm_bound, s_norms, ray_norms, ray_split, published_reference)
 
 
 def load_scenario(path) -> Scenario:

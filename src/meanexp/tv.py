@@ -24,19 +24,19 @@ genus); scenario code converts from genus-scaled integers at the boundary.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from math import exp, log, pi, sqrt
 from operator import le, lt, sub
 
-from .arith import PrimePower, left_sum
+from .arith import left_sum
 from .errors import (
     DomainError,
     InfeasibleProblemError,
     MissingParameterError,
     NeedsLargerEnumerationError,
 )
+from .frozen import Frozen, set_key
 
 #: Euler-Mascheroni constant, 20 digits.
 GAMMA = 0.57721566490153286061
@@ -91,6 +91,8 @@ def zimmert_lower(x0: float, x1: float) -> float:
 class Record:
     """Candidates that `optimize` reads as one; the protocol is in its docstring."""
 
+    __slots__ = ()
+
     def costs(self) -> list[float]:
         """weight * a_coeff(q) per norm q, in the same float operations."""
         w = self.weight
@@ -105,14 +107,17 @@ class Record:
         return map(self.at, range(len(self.norms)))
 
 
-@dataclass(frozen=True)
-class Candidate(Record):
+class Candidate(Record, Frozen):
     """A prime's cheapest admissible norm (a power of `prime`) with its
     absolute density cap: a record of one."""
 
-    prime: int
-    norm: int
-    weight: float
+    __slots__ = ("prime", "norm", "weight")
+
+    def __init__(self, prime: int, norm: int, weight: float):
+        _set_prime(self, prime)
+        _set_norm(self, norm)
+        _set_weight(self, weight)
+        set_key(self, (prime, norm, weight))
 
     @property
     def primes(self) -> tuple[int]:
@@ -126,15 +131,16 @@ class Candidate(Record):
         return self
 
 
-@dataclass(frozen=True)
-class CandidateRun(Record):
+_set_prime, _set_norm, _set_weight = Candidate._setters
+
+
+class CandidateRun(Record, Frozen):
     """Consecutive candidates, one per prime in `primes`, each of norm its
     prime and all of one `weight`.
 
     With `primes` a tuple, the run (and a solution holding it) hashes."""
 
-    primes: Sequence[int]
-    weight: float
+    __slots__ = ("primes", "weight")
 
     @property
     def norms(self) -> Sequence[int]:
@@ -148,20 +154,18 @@ class CandidateRun(Record):
 
     def head(self, count: int) -> "CandidateRun":
         """The run of its first `count` primes."""
-        return replace(self, primes=self.primes[:count])
+        return self._replace(primes=self.primes[:count])
 
 
-@dataclass(frozen=True)
-class TVProblem:
+class TVProblem(Frozen):
     """Fixed archimedean densities plus the pinned finite part.
 
     `fixed` carries the norms whose densities are known exactly (the set
-    Sigma).
+    Sigma), as (PrimePower, density) pairs.
     """
 
-    x0: float
-    x1: float
-    fixed: tuple[tuple[PrimePower, float], ...] = ()
+    __slots__ = ("x0", "x1", "fixed")
+    _defaults = {"fixed": ()}
 
     def __post_init__(self):
         if self.x0 < 0 or self.x1 < 0:
@@ -195,21 +199,16 @@ def budget(problem: TVProblem) -> float:
     return max(left, 0.0)
 
 
-@dataclass(frozen=True)
-class TVSolution:
+class TVSolution(Frozen):
     """Greedy fill result with every intermediate needed for auditing.
 
     `filled` holds the records filled whole, as read: candidates, and runs
     cut to the primes filled; `prefix` is the same as one candidate per
     prime.  `ell_star_0` is the candidate filled by the fraction `alpha`."""
 
-    ell_star_0: Candidate | None
-    alpha: float
-    sum_b_bound: float
-    B_upper: float
-    budget: float
-    filled: tuple[Record, ...]
-    degenerate: bool = False
+    # __dict__ holds the cached prefix
+    __slots__ = ("ell_star_0", "alpha", "sum_b_bound", "B_upper", "budget", "filled", "degenerate", "__dict__")
+    _defaults = {"degenerate": False}
 
     @cached_property
     def prefix(self) -> tuple[Candidate, ...]:

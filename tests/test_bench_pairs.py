@@ -119,13 +119,47 @@ def test_cli_processes_take_start_up_off_each_side(bench_pairs):
     assert entry["rounds"] == 3 and entry["change_won_rounds"] == 2
     assert entry["parent"]["median"] == 0.120 and entry["change"]["median"] == 0.091
     # (0.091 - 0.060) / (0.120 - 0.050): the change's own start-up is the slower one
-    assert entry["change_over_parent_excl_startup"] == pytest.approx(0.031 / 0.070)
+    assert entry["excl_startup"]["change_over_parent"] == pytest.approx(0.031 / 0.070)
     assert entry["exits"] == {"parent": [0], "change": [0, 2]}
     assert summary[startup]["change"]["median"] == 0.060
-    assert "change_over_parent_excl_startup" not in summary[startup]
+    assert "excl_startup" not in summary[startup]
     # without a start-up line there is nothing to take off
-    assert "change_over_parent_excl_startup" not in bench_pairs.summarise_processes(runs[6:])[
-        "meanexp oracle class-group --disc -23"]
+    assert "excl_startup" not in bench_pairs.summarise_processes(runs[6:])["meanexp oracle class-group --disc -23"]
+
+
+def _process_entry(bench_pairs, startup: tuple[list[float], list[float]], parent: list[float],
+                   change: list[float]) -> dict:
+    summary = bench_pairs.summarise_processes(_process_runs({bench_pairs.STARTUP: startup, "cmd": (parent, change)}))
+    return summary["cmd"]["excl_startup"]
+
+
+def test_cli_process_verdicts_are_taken_with_start_up_off(bench_pairs):
+    startup = ([0.050] * 10, [0.050] * 10)
+    # 70 ms against 80 ms is 14 % slower whole, but 30 ms against 20 ms past start-up
+    entry = _process_entry(bench_pairs, startup, [0.070] * 10, [0.080] * 10)
+    assert entry["pairs"] == 10 and entry["bound"] == 0.25 and entry["better"] == "lower"
+    assert entry["change_over_parent"] == pytest.approx(1.5) and entry["verdict"] == "worse"
+    assert entry["change_won_pairs"] == 0 and entry["gain_rule_met"] is False
+    # 20 ms past start-up against 10: a gain by both rules
+    parent = [0.070, 0.071, 0.069, 0.072, 0.070, 0.068, 0.071, 0.070, 0.069, 0.070]
+    entry = _process_entry(bench_pairs, startup, parent, [t - 0.010 for t in parent])
+    assert entry["change_won_pairs"] == 10 and entry["verdict"] == "within_bound"
+    assert entry["pair_ratio"]["q3"] < 1 and entry["paired_gain_rule_met"] is True and entry["gain_rule_met"] is True
+    assert entry["parent"]["median"] == pytest.approx(0.020) and entry["change"]["median"] == pytest.approx(0.010)
+
+
+def test_cli_process_verdicts_pair_by_round(bench_pairs):
+    startup = ([0.050] * 10, [0.050] * 10)
+    # a host that drifts from round to round: the change is 10 % faster past
+    # start-up in every round, inside the drift of the parent's own rounds
+    parent = [0.070, 0.090, 0.072, 0.088, 0.071, 0.089, 0.070, 0.090, 0.073, 0.087]
+    change = [0.050 + 0.9 * (t - 0.050) for t in parent]
+    entry = _process_entry(bench_pairs, startup, parent, change)
+    assert entry["change_won_pairs"] == 10
+    assert entry["pair_ratio"]["median"] == pytest.approx(0.9) and entry["paired_gain_rule_met"] is True
+    assert entry["gain_rule_met"] is False
+    # the parent's spread past start-up is wider than the bound and the sides overlap
+    assert entry["verdict"] == "unresolved"
 
 
 def test_cli_commands_are_the_readme_commands(bench_pairs):

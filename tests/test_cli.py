@@ -606,3 +606,37 @@ def test_a_subcommand_loads_only_its_own_module(argv, module, absent):
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0")
     assert ran == _loaded_modules(f"import meanexp.cli, meanexp.{module}")
     assert not ran & {f"meanexp.{name}" for name in absent}
+
+
+# every subcommand, the rounding writer among them
+_EVERY_SUBCOMMAND = [
+    ["mean-exponent", "--shape", "p:2,exps:3,1"],
+    ["genus-bound", "--rho", "6", "--r1", "1", "--r2", "0", "--delta", "1"],
+    ["gs-check", "--d", "16", "--r-upper", "48"],
+    ["critere", "--rho", "8", "--t-dec", "0", "--t-total", "1"],
+    ["tv-bound", "--scenario", str(Path(scenario.__file__).parent / "scenarios" / "example2.json")],
+    ["paper-example", "2", "--json", "--precision", "4"],
+    ["propgroup", "series", "--d", "4", "--r", "4", "--N", "8"],
+    ["propgroup", "ranks", "--d", "4", "--r", "4", "--p", "3", "--N", "8"],
+    ["propgroup", "witnesses", "--d", "4", "--r", "4", "--p", "3", "--N", "6", "--eps", "0.5"],
+    ["oracle", "class-group", "--disc", "-4620", "--json"],
+]
+
+
+def test_no_module_or_subcommand_loads_dataclasses_or_inspect():
+    """The records are plain classes, so `dataclasses` and the `inspect` it
+    imports stay out of every process.  One fresh interpreter imports each
+    module, then runs each subcommand in process; sys.modules only grows,
+    so each step is checked against what the steps before it left."""
+    names = sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py") if path.stem != "__init__")
+    steps = [(f"import meanexp.{name}", name) for name in names]
+    steps += [(f"with contextlib.redirect_stdout(io.StringIO()):\n    assert meanexp.cli.main({argv!r}) == 0",
+               " ".join(argv)) for argv in _EVERY_SUBCOMMAND]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import contextlib, io, sys\n" + "".join(
+        f"{step}\nprint({label!r}, *sorted({{'dataclasses', 'inspect'}} & set(sys.modules)), sep='|')\n"
+        for step, label in steps)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.splitlines() == [label for _, label in steps]

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -304,8 +303,8 @@ def _reference_optimize(problem, candidates, b_deduction=None):
 
 def _assert_same_fill(got, want):
     """Every `TVSolution` field, `filled` as the candidates it holds, the floats bit for bit."""
-    for field in fields(TVSolution):
-        name = "prefix" if field.name == "filled" else field.name
+    for field in TVSolution._fields:
+        name = "prefix" if field == "filled" else field
         a, b = getattr(got, name), getattr(want, name)
         assert a.hex() == b.hex() if isinstance(b, float) else a == b, name
 
