@@ -33,7 +33,7 @@ from math import gcd, isqrt
 
 from .arith import factor
 from .errors import DomainError, InternalInconsistencyError
-from .frozen import Frozen, set_key
+from .frozen import Frozen
 from .groups import AbelianPShape
 
 
@@ -48,12 +48,6 @@ class QuadForm(Frozen):
 
     __slots__ = ("a", "b", "c")
 
-    def __init__(self, a: int, b: int, c: int):
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        set_key(self, (a, b, c))
-
     def __lt__(self, other):
         return self._k < other._k if other.__class__ is self.__class__ else NotImplemented
 
@@ -67,9 +61,6 @@ class QuadForm(Frozen):
 
     def inverse(self) -> "QuadForm":
         return reduce_form(QuadForm(self.a, -self.b, self.c))
-
-
-_set_a, _set_b, _set_c = QuadForm._setters
 
 
 def reduce_form(f: QuadForm) -> QuadForm:

@@ -291,9 +291,8 @@ class WitnessRow(Frozen):
     """
 
     __slots__ = ("n", "index_log", "window_rank", "rhs", "satisfied", "regime")
-
     def to_json(self) -> dict:
-        return dict(zip(self._fields, self._k))
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:

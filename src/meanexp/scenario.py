@@ -25,7 +25,7 @@ from typing import Any
 from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
 from .fields import FieldDescriptor, field_from_spec, quadratic_subfield, splitting_type
-from .frozen import Frozen, set_key
+from .frozen import Frozen
 from . import fields, tv
 from .report import PrefixRows, dump_report  # dump_report stays a public name of this module
 from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verdict
@@ -102,18 +102,7 @@ class CandidateInfo(tv.Candidate):
     # weight_num is in genus units; kind is one of
     # split_full | ram_split | inert_sq | total_ram | override | shifted
     __slots__ = ("weight_num", "kind", "pinned")
-
-    def __init__(self, prime: int, norm: int, weight: float, weight_num: float, kind: str, pinned: bool = False):
-        _set_prime(self, prime)
-        _set_norm(self, norm)
-        _set_weight(self, weight)
-        _set_weight_num(self, weight_num)
-        _set_kind(self, kind)
-        _set_pinned(self, pinned)
-        set_key(self, (prime, norm, weight, weight_num, kind, pinned))
-
-
-_set_prime, _set_norm, _set_weight, _set_weight_num, _set_kind, _set_pinned = CandidateInfo._setters
+    _defaults = {"pinned": False}
 
 
 class SplitRun(tv.CandidateRun):
@@ -247,10 +236,32 @@ def parse_scenario(data: dict) -> Scenario:
     published_reference = data.get("published_reference", {})
     _expect(isinstance(published_reference, dict), "published_reference must be an object", "published_reference")
 
-    # in the order of Scenario's fields
-    return Scenario(label, p, field, base, g_override, t_dec, t_inert, eps_lin, coarse_B, alpha_sig, C0,
-                    float(x0_num), float(x1_num), sigma_pin, eps_caps, overrides, cap_overrides, excluded, b_ded,
-                    norm_bound, s_norms, ray_norms, ray_split, published_reference)
+    return Scenario(
+        label=label,
+        p=p,
+        field=field,
+        base_quadratic=base,
+        g_override=g_override,
+        t_dec=t_dec,
+        t_inert=t_inert,
+        epsilon_linear=eps_lin,
+        coarse_B=coarse_B,
+        alpha_signature=alpha_sig,
+        C0=C0,
+        x0_num=float(x0_num),
+        x1_num=float(x1_num),
+        sigma_fixed_pin=sigma_pin,
+        eps_caps=eps_caps,
+        splitting_overrides=overrides,
+        capacity_overrides=cap_overrides,
+        excluded=excluded,
+        b_deduction_nums=b_ded,
+        norm_bound=norm_bound,
+        s_norms=s_norms,
+        ray_sigma_norms=ray_norms,
+        ray_sigma_split=ray_split,
+        published_reference=published_reference,
+    )
 
 
 def load_scenario(path) -> Scenario:

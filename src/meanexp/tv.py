@@ -36,7 +36,7 @@ from .errors import (
     MissingParameterError,
     NeedsLargerEnumerationError,
 )
-from .frozen import Frozen, set_key
+from .frozen import Frozen
 
 #: Euler-Mascheroni constant, 20 digits.
 GAMMA = 0.57721566490153286061
@@ -113,12 +113,6 @@ class Candidate(Record, Frozen):
 
     __slots__ = ("prime", "norm", "weight")
 
-    def __init__(self, prime: int, norm: int, weight: float):
-        _set_prime(self, prime)
-        _set_norm(self, norm)
-        _set_weight(self, weight)
-        set_key(self, (prime, norm, weight))
-
     @property
     def primes(self) -> tuple[int]:
         return (self.prime,)
@@ -129,9 +123,6 @@ class Candidate(Record, Frozen):
 
     def at(self, i: int) -> "Candidate":
         return self
-
-
-_set_prime, _set_norm, _set_weight = Candidate._setters
 
 
 class CandidateRun(Record, Frozen):

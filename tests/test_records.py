@@ -187,3 +187,13 @@ def test_scenario_records():
     assert a == b and a is not b
     assert repr(a).startswith("Scenario(label='worked-example-2', p=2, field=FieldDescriptor(degree=4, ")
     assert a.genus == a.field.genus()
+
+
+def test_a_parsed_scenario_is_frozen():
+    # nothing mutates a parsed scenario, so it is a record like the others
+    scn = _scenario()
+    with pytest.raises(AttributeError):
+        scn.label = "other"
+    with pytest.raises(AttributeError):
+        del scn.p
+    assert scn.label == "worked-example-2" and scn._replace(label="other").label == "other"
