@@ -118,8 +118,8 @@ def test_cli_processes_take_start_up_off_each_side(bench_pairs):
     entry = summary["meanexp oracle class-group --disc -23"]
     assert entry["rounds"] == 3 and entry["change_won_rounds"] == 2
     assert entry["parent"]["median"] == 0.120 and entry["change"]["median"] == 0.091
-    # (0.091 - 0.060) / (0.120 - 0.050): the change's own start-up is the slower one
-    assert entry["excl_startup"]["change_over_parent"] == pytest.approx(0.031 / 0.070)
+    # (0.091 - 0.055) / (0.120 - 0.055): one start-up, the median of both sides' runs, comes off both
+    assert entry["excl_startup"]["change_over_parent"] == pytest.approx(0.036 / 0.065)
     assert entry["exits"] == {"parent": [0], "change": [0, 2]}
     assert summary[startup]["change"]["median"] == 0.060
     assert "excl_startup" not in summary[startup]
@@ -146,6 +146,12 @@ def test_cli_process_verdicts_are_taken_with_start_up_off(bench_pairs):
     assert entry["change_won_pairs"] == 10 and entry["verdict"] == "within_bound"
     assert entry["pair_ratio"]["q3"] < 1 and entry["paired_gain_rule_met"] is True and entry["gain_rule_met"] is True
     assert entry["parent"]["median"] == pytest.approx(0.020) and entry["change"]["median"] == pytest.approx(0.010)
+
+
+def test_cli_processes_take_one_start_up_off_both_sides(bench_pairs):
+    # the sides' start-up runs differ by noise alone: an unchanged command reads 1
+    entry = _process_entry(bench_pairs, ([0.050] * 10, [0.057] * 10), [0.080] * 10, [0.080] * 10)
+    assert entry["change_over_parent"] == pytest.approx(1.0) and entry["verdict"] == "within_bound"
 
 
 def test_cli_process_verdicts_pair_by_round(bench_pairs):
