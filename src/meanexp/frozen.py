@@ -32,6 +32,7 @@ class Frozen:
             lines.append(f"_store_key(self, ({', '.join(fields)},))")
         exec(f"def __init__(self, {params}):\n    " + "\n    ".join(lines), namespace)
         cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __post_init__(self):
         """Validation and normalisation, run before `_k` is taken."""

@@ -197,3 +197,10 @@ def test_a_parsed_scenario_is_frozen():
     with pytest.raises(AttributeError):
         del scn.p
     assert scn.label == "worked-example-2" and scn._replace(label="other").label == "other"
+
+
+def test_a_bad_call_names_the_class():
+    with pytest.raises(TypeError, match=r"^QuadForm\.__init__\(\) missing 1 required positional argument: 'c'$"):
+        oracle.QuadForm(1, 1)
+    with pytest.raises(TypeError, match=r"^AbelianPShape\.__init__\(\) got an unexpected keyword argument 'rank'$"):
+        groups.AbelianPShape(2, rank=1)
