@@ -24,7 +24,7 @@ from typing import Any
 
 from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
 from .errors import DomainError, SchemaError
-from .fields import FieldDescriptor, field_from_spec, quadratic_subfield, splitting_type
+from .fields import field_from_spec, quadratic_subfield, splitting_type
 from .frozen import Frozen
 from . import fields, tv
 from .report import PrefixRows, dump_report  # dump_report stays a public name of this module

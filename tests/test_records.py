@@ -204,3 +204,13 @@ def test_a_bad_call_names_the_class():
         oracle.QuadForm(1, 1)
     with pytest.raises(TypeError, match=r"^AbelianPShape\.__init__\(\) got an unexpected keyword argument 'rank'$"):
         groups.AbelianPShape(2, rank=1)
+
+
+def test_records_of_two_classes_with_equal_fields_differ():
+    shape, ranks = groups.AbelianPShape(3, (2, 1)), propgroups.ZassenhausRanks(3, (2, 1))
+    assert shape != ranks and ranks != shape and len({shape, ranks}) == 2
+
+    class Sub(tv.Candidate):
+        __slots__ = ()
+
+    assert Sub(3, 9, 0.5) != tv.Candidate(3, 9, 0.5) and tv.Candidate(3, 9, 0.5) != Sub(3, 9, 0.5)
