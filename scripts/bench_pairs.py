@@ -30,22 +30,24 @@ run, so an interrupted session still leaves the runs made so far.  Standard
 library only.
 
 Before the workloads, a ``cli_processes`` pass times each command of the
-README's CLI section as a fresh ``python -m meanexp.cli`` process in both
-copies, with the child environment perfbench gives its processes, and
-``python -c pass`` as the interpreter's start-up.  It makes CLI_RUNS rounds;
-a round runs every command once per side, the side that goes first
-alternating by command and round.  Per command the section holds each side's
-median and quartiles in seconds, its exit codes and the rounds the change
-won.  Its ``excl_startup`` takes the start-up off every round, pairs the
-rounds as pairs are paired, and summarises them as a metric is: spreads,
-wins, ``pair_ratio``, both gain rules, the verdict against a bound of 0.25
-(the bound the benchmark sets on its timings), and ``change_over_parent``,
-the change's median less the start-up over the parent's median less the
-start-up.  The start-up is the median of both sides' ``python -c pass``
-runs together: that command runs no code of either tree, and on a shared
-2-vCPU VM the two sides' own medians of it differed by 7 ms in 15 rounds,
-which moved the ratios of unchanged commands to between 0.4 and 2.0.  Every
-timed process is kept in ``cli_process_runs``.
+README's CLI section as a fresh process in both copies, with the child
+environment perfbench gives its processes, and ``python -c pass`` as the
+interpreter's start-up.  Each command runs under IN_CHILD, a ``python -c``
+wrapper that times ``runpy.run_module("meanexp.cli")`` with ``perf_counter``
+inside the child, writes the seconds as the last line of stderr and exits
+with the command's exit code.  It makes CLI_RUNS rounds; a round runs every
+command once per side, the side that goes first alternating by command and
+round.  Per command the section holds each side's median and quartiles of
+the wall time in seconds, its exit codes and the rounds the change won.  Its
+``excl_startup`` pairs the in-child times round by round, as pairs are
+paired, and summarises them as a metric is: spreads, wins, ``pair_ratio``,
+both gain rules, the verdict against a bound of 0.25 (the bound the
+benchmark sets on its timings), and ``change_over_parent``.  The in-child
+time holds the import of meanexp and the command, and none of the
+interpreter's start-up: on a shared 2-vCPU VM, wall time less a pooled
+median start-up left the start-up's own scatter in a remainder of ~30 ms,
+and 8 of 10 commands read ``unresolved``.  Every timed process is kept in
+``cli_process_runs``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,19 @@ CLI_COMMANDS = [
     ["oracle", "class-group", "--disc", "-23"],
 ]
 STARTUP = "python -c pass"
+# runs `meanexp.cli` as `python -m` does, and writes its time in the child as stderr's last line
+IN_CHILD = """\
+import runpy, sys
+from time import perf_counter
+t0 = perf_counter()
+try:
+    runpy.run_module("meanexp.cli", run_name="__main__")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(perf_counter() - t0, file=sys.stderr)
+sys.exit(code)
+"""
 CLI_RUNS = 15
 # the bound BENCHMARK.json sets on each timing
 PROCESS_BOUND = 0.25
@@ -171,49 +186,57 @@ def perfbench_child_env() -> dict:
     return workloads.child_env()
 
 
-def process_seconds(copy: Path, args: list[str], env: dict) -> tuple[int, float]:
-    """Exit code and wall time of one fresh interpreter running args in copy."""
+def process_seconds(copy: Path, args: list[str], env: dict) -> tuple[int, float, float | None]:
+    """Exit code and wall time of one fresh interpreter running args in
+    copy, and the seconds on the last line of its stderr (None if none)."""
     t0 = perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
-    return proc.returncode, perf_counter() - t0
+                          stderr=subprocess.PIPE, text=True)
+    seconds = perf_counter() - t0
+    try:
+        in_child = float(proc.stderr.splitlines()[-1])
+    except (IndexError, ValueError):
+        in_child = None
+    return proc.returncode, seconds, in_child
 
 
 def time_processes(workdir: Path) -> list[dict]:
     """CLI_RUNS rounds of every CLI command, and of the bare start-up, per side."""
     env = perfbench_child_env()
     commands = {STARTUP: ["-c", "pass"]}
-    commands.update({"meanexp " + " ".join(argv): ["-m", "meanexp.cli", *argv] for argv in CLI_COMMANDS})
+    commands.update({"meanexp " + " ".join(argv): ["-c", IN_CHILD, *argv] for argv in CLI_COMMANDS})
     runs = []
     for i in range(CLI_RUNS):
         for j, (name, args) in enumerate(commands.items()):
             for side in ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent"):
-                code, seconds = process_seconds(workdir / side, args, env)
-                runs.append({"command": name, "round": i, "side": side, "exit": code, "seconds": seconds})
+                code, seconds, in_child = process_seconds(workdir / side, args, env)
+                runs.append({"command": name, "round": i, "side": side, "exit": code, "seconds": seconds,
+                             "in_child_seconds": in_child})
     return runs
 
 
 def summarise_processes(runs: list[dict]) -> dict:
-    """Per command: each side's spread, its exit codes and the rounds the
-    change won; and with the start-up, one median over both sides, taken
-    off every round, `compare` over the rounds under PROCESS_BOUND."""
-    times: dict[str, dict[str, dict[int, float]]] = {}
-    exits: dict[str, dict[str, set]] = {}
+    """Per command: each side's spread of wall times, its exit codes and the
+    rounds the change won; and over the rounds where both sides report an
+    in-child time, `compare` of those times under PROCESS_BOUND."""
+    by_round: dict[str, dict[str, dict[int, dict]]] = {}
     for run in runs:
-        times.setdefault(run["command"], {}).setdefault(run["side"], {})[run["round"]] = run["seconds"]
-        exits.setdefault(run["command"], {}).setdefault(run["side"], set()).add(run["exit"])
-    startup = spread([t for side in times.get(STARTUP, {}).values() for t in side.values()])["median"]
+        by_round.setdefault(run["command"], {}).setdefault(run["side"], {})[run["round"]] = run
     out = {}
-    for name, sides in times.items():
+    for name, sides in by_round.items():
         parent, change = sides.get("parent", {}), sides.get("change", {})
         rounds = sorted(parent.keys() & change.keys())
         entry = {"unit": "s", "rounds": len(rounds),
-                 "parent": spread([parent[i] for i in rounds]), "change": spread([change[i] for i in rounds]),
-                 "exits": {side: sorted(codes) for side, codes in exits[name].items()},
-                 "change_won_rounds": sum(change[i] < parent[i] for i in rounds)}
-        if rounds and name != STARTUP and startup is not None:
-            entry["excl_startup"] = compare([parent[i] - startup for i in rounds],
-                                            [change[i] - startup for i in rounds], "lower", PROCESS_BOUND)
+                 "parent": spread([parent[i]["seconds"] for i in rounds]),
+                 "change": spread([change[i]["seconds"] for i in rounds]),
+                 "exits": {side: sorted({run["exit"] for run in side_runs.values()})
+                           for side, side_runs in sides.items()},
+                 "change_won_rounds": sum(change[i]["seconds"] < parent[i]["seconds"] for i in rounds)}
+        timed = [i for i in rounds
+                 if parent[i].get("in_child_seconds") is not None and change[i].get("in_child_seconds") is not None]
+        if timed:
+            entry["excl_startup"] = compare([parent[i]["in_child_seconds"] for i in timed],
+                                            [change[i]["in_child_seconds"] for i in timed], "lower", PROCESS_BOUND)
         out[name] = entry
     return out
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 from operator import add
 
 from .errors import DomainError
@@ -157,46 +157,6 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise DomainError("valuation of 0 is infinite")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def tame_local_factor(norm: int, p: int, split_completely: bool = False) -> int:
-    """Size exponent of the tame inertia contribution of a place of norm `norm`.
-
-    For odd p this is v_p(norm - 1).  For p = 2 the answer depends on the
-    residue class of the norm mod 4: when norm = 1 mod 4 it is v_2(norm - 1);
-    when norm = 3 mod 4, writing norm = 1 + 2n with n odd, it is
-    v_2(1 + n) + 1 -- unless the place is known to split completely in the
-    tower, in which case the smaller value v_2(norm - 1) = 1 applies.
-    """
-    if norm < 3:
-        raise DomainError(f"norm must be >= 3, got {norm}")
-    if gcd(norm, p) != 1:
-        raise DomainError(f"norm {norm} is not coprime to p = {p}")
-    if p != 2:
-        return vp(norm - 1, p)
-    if norm % 4 == 1 or split_completely:
-        return vp(norm - 1, 2)
-    n = (norm - 1) // 2  # odd since norm = 3 mod 4
-    return vp(1 + n, 2) + 1
-
-
-def tame_local_sum(norms, p: int, split_completely: bool = False) -> int:
-    """Sum of the tame local factors over a set of place norms."""
-    return sum(tame_local_factor(q, p, split_completely=split_completely) for q in norms)
 
 
 class PrimePower(Frozen):

@@ -38,10 +38,6 @@ class InconsistentParametersError(MeanexpError):
     """Numerically valid inputs that contradict each other."""
 
 
-class MissingParameterError(MeanexpError):
-    """A caller-supplied constant required by the operation was not provided."""
-
-
 class SchemaError(MeanexpError):
     """A scenario file violates the input schema.
 

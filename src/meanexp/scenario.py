@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from itertools import chain, takewhile
 from typing import Any
 
-from .arith import PrimePower, is_prime, left_sum, sieve_primes, tame_local_sum
+from .arith import PrimePower, is_prime, left_sum, sieve_primes
 from .errors import DomainError, SchemaError
 from .fields import field_from_spec, quadratic_subfield, splitting_type
 from .frozen import Frozen
@@ -41,6 +41,23 @@ _MAX_NORM_BOUND = 2_000_000
 NORM_BOUND_MAX = 10**9
 # the longest sieve segment of the candidate stream
 _SEGMENT = 1 << 14
+
+#: The keys each object of a scenario may hold, by the object's location
+#: ("" is the top level, "tv.eps_caps[i]" each entry of that list).  Any
+#: other key is a SchemaError.  `field` also holds the factor lists that
+#: FIELD_FACTORS names for its type.
+SCHEMA_KEYS = {
+    "": ("version", "label", "p", "field", "g_override", "epsilon_linear", "coarse_B", "T", "alpha_signature",
+         "tv", "published_reference"),
+    "field": ("type",),
+    "T": ("dec", "inert"),
+    "tv": ("x0_num", "x1_num", "sigma_fixed", "eps_caps", "splitting_overrides", "capacity_overrides",
+           "excluded", "b_deduction_nums", "norm_bound"),
+    "tv.sigma_fixed[i]": ("q", "num"),
+    "tv.eps_caps[i]": ("prime", "eps_num"),
+    "tv.capacity_overrides[i]": ("prime", "norm", "weight_num"),
+}
+FIELD_FACTORS = {"quadratic": ("radicand_factors",), "biquadratic": ("d1_factors", "d2_factors")}
 
 
 def _expect(cond: bool, message: str, location: str) -> None:
@@ -81,19 +98,41 @@ def _optional_number(data: dict, key: str, positive: bool = False) -> float | No
     return float(value)
 
 
-def _as_list(value, location: str, ok=_is_int, what: str = "integers") -> list:
-    """value as a list whose items all satisfy ok; SchemaError names the item."""
+def _only_keys(obj: dict, keys: tuple[str, ...], location: str) -> None:
+    """SchemaError at the first key of obj that keys does not hold."""
+    for key in obj:
+        _expect(key in keys, f"unknown key; expected one of {', '.join(keys)}",
+                f"{location}.{key}" if location else str(key))
+
+
+def _as_list(value, location: str, ok=_is_int, what: str = "integers", distinct: bool = False) -> list:
+    """value as a list whose items all satisfy ok, and with distinct no item
+    twice; SchemaError names the item."""
     _expect(isinstance(value, list), "expected a list", location)
+    seen = set()
     for i, v in enumerate(value):
         _expect(ok(v), f"expected {what}", f"{location}[{i}]")
+        if distinct:
+            _expect(v not in seen, f"{v} is listed twice", f"{location}[{i}]")
+            seen.add(v)
     return list(value)
 
 
-def _entries(tvsec: dict, key: str, required: set[str]) -> list[tuple[str, dict]]:
-    """(location, entry) for each object of the list tv.key; each holds `required`."""
-    entries = _as_list(tvsec.get(key, []), f"tv.{key}", lambda e: isinstance(e, dict) and required <= set(e),
-                       f"objects with {', '.join(sorted(required))}")
-    return [(f"tv.{key}[{i}]", entry) for i, entry in enumerate(entries)]
+def _entries(tvsec: dict, key: str) -> list[tuple[str, dict]]:
+    """(location, entry) for each object of the list tv.key; each holds
+    exactly the keys of SCHEMA_KEYS["tv.key[i]"]."""
+    keys = SCHEMA_KEYS[f"tv.{key}[i]"]
+    entries = _as_list(tvsec.get(key, []), f"tv.{key}", lambda e: isinstance(e, dict) and set(keys) <= set(e),
+                       f"objects with {', '.join(sorted(keys))}")
+    located = [(f"tv.{key}[{i}]", entry) for i, entry in enumerate(entries)]
+    for loc, entry in located:
+        _only_keys(entry, keys, loc)
+    return located
+
+
+def _once(values: dict, key, location: str) -> None:
+    """SchemaError at location when values already holds key from an earlier entry."""
+    _expect(key not in values, f"{key} is listed twice", location)
 
 
 class CandidateInfo(tv.Candidate):
@@ -119,9 +158,9 @@ class SplitRun(tv.CandidateRun):
 
 class Scenario(Frozen):
     __slots__ = ("label", "p", "field", "base_quadratic", "g_override", "t_dec", "t_inert", "epsilon_linear",
-                 "coarse_B", "alpha_signature", "C0", "x0_num", "x1_num", "sigma_fixed_pin", "eps_caps",
+                 "coarse_B", "alpha_signature", "x0_num", "x1_num", "sigma_fixed_pin", "eps_caps",
                  "splitting_overrides", "capacity_overrides", "excluded", "b_deduction_nums", "norm_bound",
-                 "s_norms", "ray_sigma_norms", "ray_sigma_split", "published_reference")
+                 "published_reference")
 
     @property
     def genus(self) -> float:
@@ -135,6 +174,7 @@ def parse_scenario(data: dict) -> Scenario:
     _expect(isinstance(data, dict), "scenario must be an object", "$")
     version = data.get("version")
     _expect(version == SCHEMA_VERSION, f"unsupported version {version!r}", "version")
+    _only_keys(data, SCHEMA_KEYS[""], "")
     label = data.get("label", "")
     _expect(isinstance(label, str), "label must be a string", "label")
     p = data.get("p")
@@ -142,7 +182,11 @@ def parse_scenario(data: dict) -> Scenario:
 
     fspec = data.get("field")
     _expect(isinstance(fspec, dict), "field must be an object", "field")
-    for key in ("radicand_factors", "d1_factors", "d2_factors"):
+    kind = fspec.get("type")
+    factor_keys = FIELD_FACTORS.get(kind) if isinstance(kind, str) else None
+    _expect(factor_keys is not None, f"bad field spec: unknown field type {kind!r}", "field")
+    _only_keys(fspec, SCHEMA_KEYS["field"] + factor_keys, "field")
+    for key in factor_keys:
         factors = fspec.get(key, [])
         ok = isinstance(factors, list) and all(map(_is_int, factors))
         _expect(ok, "expected a list of integers", f"field.{key}")
@@ -156,12 +200,12 @@ def parse_scenario(data: dict) -> Scenario:
     g_override = _optional_number(data, "g_override", positive=True)
     eps_lin = _optional_number(data, "epsilon_linear", positive=True)
     coarse_B = _optional_number(data, "coarse_B")
-    C0 = _optional_number(data, "C0", positive=True)
 
     tsec = data.get("T", {"dec": [], "inert": []})
     _expect(isinstance(tsec, dict), "T must be an object", "T")
-    t_dec = _as_list(tsec.get("dec", []), "T.dec", _is_prime, "primes")
-    t_inert = _as_list(tsec.get("inert", []), "T.inert", _is_prime, "primes")
+    _only_keys(tsec, SCHEMA_KEYS["T"], "T")
+    t_dec = _as_list(tsec.get("dec", []), "T.dec", _is_prime, "primes", distinct=True)
+    t_inert = _as_list(tsec.get("inert", []), "T.inert", _is_prime, "primes", distinct=True)
     _expect(not set(t_dec) & set(t_inert), "T.dec and T.inert overlap", "T")
 
     alpha_sig = data.get("alpha_signature")
@@ -172,6 +216,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     tvsec = data.get("tv", {})
     _expect(isinstance(tvsec, dict), "tv must be an object", "tv")
+    _only_keys(tvsec, SCHEMA_KEYS["tv"], "tv")
     x0_num = tvsec.get("x0_num", 0)
     x1_num = tvsec.get("x1_num", 0)
     for name, val in (("x0_num", x0_num), ("x1_num", x1_num)):
@@ -179,16 +224,19 @@ def parse_scenario(data: dict) -> Scenario:
 
     sigma_pin = None
     if "sigma_fixed" in tvsec:
-        sigma_pin = []
-        for loc, entry in _entries(tvsec, "sigma_fixed", {"q", "num"}):
+        sigma = {}
+        for loc, entry in _entries(tvsec, "sigma_fixed"):
             _expect(_is_prime_power(entry["q"]), "q must be a prime power", loc)
             _expect(_is_number(entry["num"]) and entry["num"] >= 0, "num must be a number >= 0", loc)
-            sigma_pin.append((entry["q"], float(entry["num"])))
+            _once(sigma, entry["q"], f"{loc}.q")
+            sigma[entry["q"]] = float(entry["num"])
+        sigma_pin = list(sigma.items())
 
     eps_caps = {}
-    for loc, entry in _entries(tvsec, "eps_caps", {"prime", "eps_num"}):
+    for loc, entry in _entries(tvsec, "eps_caps"):
         _expect(_is_prime(entry["prime"]), "prime required", loc)
         _expect(_is_number(entry["eps_num"]) and entry["eps_num"] >= 0, "eps_num must be a number >= 0", loc)
+        _once(eps_caps, entry["prime"], f"{loc}.prime")
         eps_caps[entry["prime"]] = float(entry["eps_num"])
 
     overrides = {}
@@ -200,20 +248,23 @@ def parse_scenario(data: dict) -> Scenario:
             ell = int(key)
         except ValueError:
             raise SchemaError("keys must be primes", location=loc) from None
+        _expect(key == str(ell), f"keys must be primes in plain decimal, as {ell}", loc)
         _expect(is_prime(ell), "keys must be primes", loc)
         _expect(val in ("split", "inert"), "values must be 'split' or 'inert'", loc)
         overrides[ell] = val
 
     cap_overrides = {}
-    for loc, entry in _entries(tvsec, "capacity_overrides", {"prime", "norm", "weight_num"}):
+    for loc, entry in _entries(tvsec, "capacity_overrides"):
         ell, norm, weight = entry["prime"], entry["norm"], entry["weight_num"]
         _expect(_is_prime(ell), "prime required", loc)
         is_power = _is_int(norm) and norm >= ell and ell ** round(math.log(norm, ell)) == norm
         _expect(is_power, "norm must be a power of the prime", loc)
         _expect(_is_number(weight) and weight >= 0, "weight_num must be >= 0", loc)
+        _once(cap_overrides, ell, f"{loc}.prime")
         cap_overrides[ell] = (norm, float(weight))
 
-    excluded = set(_as_list(tvsec.get("excluded", []), "tv.excluded", _is_prime_power, "prime powers"))
+    excluded = set(_as_list(tvsec.get("excluded", []), "tv.excluded", _is_prime_power, "prime powers",
+                            distinct=True))
 
     b_ded = tvsec.get("b_deduction_nums")
     if b_ded is not None:
@@ -224,14 +275,6 @@ def parse_scenario(data: dict) -> Scenario:
     norm_bound = tvsec.get("norm_bound", 1000)
     _expect(_is_int(norm_bound) and norm_bound >= 2, "norm_bound must be >= 2", "tv.norm_bound")
     _expect(norm_bound <= NORM_BOUND_MAX, f"norm_bound must be at most {NORM_BOUND_MAX}", "tv.norm_bound")
-
-    s_norms = _as_list(data.get("S_norms", []), "S_norms", _is_prime_power, "prime powers")
-    ray = data.get("ray_sigma", {})
-    _expect(isinstance(ray, dict), "ray_sigma must be an object", "ray_sigma")
-    ray_norms = _as_list(ray.get("norms", []), "ray_sigma.norms",
-                         lambda q: _is_prime_power(q) and q > 2 and q % p != 0, "prime powers > 2 coprime to p")
-    ray_split = ray.get("split_completely", False)
-    _expect(isinstance(ray_split, bool), "must be true or false", "ray_sigma.split_completely")
 
     published_reference = data.get("published_reference", {})
     _expect(isinstance(published_reference, dict), "published_reference must be an object", "published_reference")
@@ -247,7 +290,6 @@ def parse_scenario(data: dict) -> Scenario:
         epsilon_linear=eps_lin,
         coarse_B=coarse_B,
         alpha_signature=alpha_sig,
-        C0=C0,
         x0_num=float(x0_num),
         x1_num=float(x1_num),
         sigma_fixed_pin=sigma_pin,
@@ -257,17 +299,22 @@ def parse_scenario(data: dict) -> Scenario:
         excluded=excluded,
         b_deduction_nums=b_ded,
         norm_bound=norm_bound,
-        s_norms=s_norms,
-        ray_sigma_norms=ray_norms,
-        ray_sigma_split=ray_split,
         published_reference=published_reference,
     )
 
 
 def load_scenario(path) -> Scenario:
+    def object_once(pairs: list) -> dict:
+        # json.load alone keeps the last of two equal keys
+        obj = {}
+        for key, value in pairs:
+            _expect(key not in obj, f"key {key!r} is given twice in one object", str(path))
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=object_once)
     except OSError as exc:
         raise SchemaError(f"cannot read scenario: {exc}", location=str(path)) from exc
     except json.JSONDecodeError as exc:
@@ -514,36 +561,28 @@ def run_scenario_obj(sc: Scenario) -> dict:
     # honest-assembly B alongside the (possibly pinned) headline value
     B_derived = tv.assemble_B(solution.sum_b_bound, problem.x0, problem.x1)
 
-    # --- assembled mean-exponent bounds
-    a_sigma = tame_local_sum(sc.ray_sigma_norms, sc.p, split_completely=sc.ray_sigma_split)
-    log_sqrt_disc_ks = g + 0.5 * left_sum(math.log(q) for q in sc.s_norms)
+    # --- assembled mean-exponent bounds; S is empty, so log sqrt(disc(K,S)) is g
     alpha_sig = sc.alpha_signature if sc.alpha_signature is not None else (field.r1, field.r2)
 
     bounds_block: dict[str, Any] = {}
     if sc.coarse_B is not None and eps_used:
-        alpha_c = tv.alpha_constant(sc.coarse_B, log_sqrt_disc_ks, *alpha_sig)
+        alpha_c = tv.alpha_constant(sc.coarse_B, g, *alpha_sig)
         bounds_block["coarse"] = {
             "B": sc.coarse_B,
             "alpha_constant": alpha_c,
-            "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_c, a_sigma),
+            "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_c),
         }
     if eps_used:
-        alpha_c = tv.alpha_constant(solution.B_upper, log_sqrt_disc_ks, *alpha_sig)
+        alpha_c = tv.alpha_constant(solution.B_upper, g, *alpha_sig)
         bounds_block["refined"] = {
             "B": solution.B_upper,
             "alpha_constant": alpha_c,
-            "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_c, a_sigma),
+            "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_c),
         }
-        alpha_cd = tv.alpha_constant(B_derived, log_sqrt_disc_ks, *alpha_sig)
+        alpha_cd = tv.alpha_constant(B_derived, g, *alpha_sig)
         bounds_block["refined_derived_assembly"] = {
             "B": B_derived,
-            "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_cd, a_sigma),
-        }
-    if sc.C0 is not None and eps_used:
-        t0 = round(eps_used)
-        bounds_block["crude_class_number"] = {
-            "C0": sc.C0,
-            "bound": tv.propmain_upper(sc.C0, max(t0, 1), sc.p, field.log_abs_disc()),
+            "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_cd),
         }
 
     report = {

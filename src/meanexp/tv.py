@@ -30,12 +30,7 @@ from math import exp, log, pi, sqrt
 from operator import le, lt, sub
 
 from .arith import left_sum
-from .errors import (
-    DomainError,
-    InfeasibleProblemError,
-    MissingParameterError,
-    NeedsLargerEnumerationError,
-)
+from .errors import DomainError, InfeasibleProblemError, NeedsLargerEnumerationError
 from .frozen import Frozen
 
 #: Euler-Mascheroni constant, 20 digits.
@@ -321,17 +316,6 @@ def mean_exponent_upper(epsilon, p: int, alpha_value: float, a_sigma: int = 0) -
     if eps <= 0:
         raise DomainError("the linear-growth rate epsilon must be positive")
     return (alpha_value / log(p) + a_sigma) / eps
-
-
-def propmain_upper(C0, t0: int, p: int, log_abs_disc: float) -> float:
-    """Crude bound (C0/t0) * log_p |disc|; C0 is an absolute constant the
-    underlying class-number estimate never makes numeric, so it is required
-    from the caller."""
-    if C0 is None:
-        raise MissingParameterError("C0 must be supplied; it has no canonical value")
-    if t0 <= 0:
-        raise DomainError("t0 must be positive")
-    return (float(C0) / t0) * (log_abs_disc / log(p))
 
 
 def per_level_bound(

@@ -12,8 +12,6 @@ from meanexp.arith import (
     kronecker,
     primes_between,
     sieve_primes,
-    tame_local_factor,
-    vp,
 )
 from meanexp.errors import DomainError
 
@@ -73,46 +71,6 @@ def test_kronecker_multiplicative_in_odd_modulus(a, m, n):
     m = 2 * m + 1
     n = 2 * n + 1
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
-
-
-def test_vp_examples():
-    assert vp(12, 2) == 2
-    assert vp(12, 3) == 1
-    assert vp(7, 5) == 0
-    with pytest.raises(DomainError):
-        vp(0, 3)
-    with pytest.raises(DomainError):
-        vp(10, 4)
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7, 11]))
-def test_vp_shifts_by_one_under_multiplication(n, p):
-    assert vp(n * p, p) == vp(n, p) + 1
-
-
-def test_tame_local_factor_examples():
-    # 7 = 1 + 2*3 with 3 odd: v_2(4) + 1 = 3
-    assert tame_local_factor(7, 2) == 3
-    assert tame_local_factor(13, 2) == 2
-    assert tame_local_factor(7, 2, split_completely=True) == 1
-    assert tame_local_factor(9, 7) == 0  # odd p, v_7(8) = 0
-    with pytest.raises(DomainError):
-        tame_local_factor(9, 3)
-
-
-def test_tame_local_factor_positive_on_unit_norms():
-    for p in (2, 3, 5):
-        for q in range(3, 400):
-            if q % p == 1:
-                assert tame_local_factor(q, p) >= 1, (q, p)
-
-
-def test_tame_local_sum():
-    from meanexp.arith import tame_local_sum
-
-    assert tame_local_sum([], 2) == 0
-    assert tame_local_sum([7, 13], 2) == 5  # 3 + 2
-    assert tame_local_sum([7, 13], 2, split_completely=True) == 3  # 1 + 2
 
 
 def test_prime_power():

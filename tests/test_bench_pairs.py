@@ -1,6 +1,7 @@
 """The summary of ``scripts/bench_pairs.py`` on synthetic runs."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -99,73 +100,92 @@ def test_paired_rule_counts_wins_and_needs_a_quartile(bench_pairs):
     assert entry["pair_ratio"]["q1"] is None and entry["paired_gain_rule_met"] is False
 
 
-def _process_runs(times: dict[str, tuple[list[float], list[float]]]) -> list[dict]:
-    """One run per command, side and round, round i holding parent[i] and change[i]."""
-    return [{"command": name, "round": i, "side": side, "exit": 0, "seconds": seconds}
+def _process_runs(times: dict[str, tuple[list[float], list[float]]],
+                  in_child: dict[str, tuple[list[float], list[float]]] | None = None) -> list[dict]:
+    """One run per command, side and round, round i holding parent[i] and
+    change[i] as wall times, and in_child's as in-child times (else None)."""
+    in_child = in_child or {}
+    return [{"command": name, "round": i, "side": side, "exit": 0, "seconds": seconds,
+             "in_child_seconds": in_child[name][k][i] if name in in_child else None}
             for name, (parent, change) in times.items() for i, pair in enumerate(zip(parent, change))
-            for side, seconds in zip(("parent", "change"), pair)]
+            for k, (side, seconds) in enumerate(zip(("parent", "change"), pair))]
 
 
 def test_cli_processes_take_start_up_off_each_side(bench_pairs):
-    startup = bench_pairs.STARTUP
+    startup, cmd = bench_pairs.STARTUP, "meanexp oracle class-group --disc -23"
     runs = _process_runs({
         startup: ([0.050, 0.052, 0.048], [0.060, 0.062, 0.058]),
-        "meanexp oracle class-group --disc -23": ([0.120, 0.125, 0.118], [0.090, 0.091, 0.130]),
-    })
+        cmd: ([0.120, 0.125, 0.118], [0.090, 0.091, 0.130]),
+    }, {cmd: ([0.070, 0.072, 0.069], [0.036, 0.040, 0.080])})
     runs[-1]["exit"] = 2
     summary = bench_pairs.summarise_processes(runs)
-    assert set(summary) == {startup, "meanexp oracle class-group --disc -23"}
-    entry = summary["meanexp oracle class-group --disc -23"]
+    assert set(summary) == {startup, cmd}
+    entry = summary[cmd]
     assert entry["rounds"] == 3 and entry["change_won_rounds"] == 2
     assert entry["parent"]["median"] == 0.120 and entry["change"]["median"] == 0.091
-    # (0.091 - 0.055) / (0.120 - 0.055): one start-up, the median of both sides' runs, comes off both
-    assert entry["excl_startup"]["change_over_parent"] == pytest.approx(0.036 / 0.065)
+    # the in-child times are compared, and no start-up is taken off them
+    assert entry["excl_startup"]["change_over_parent"] == pytest.approx(0.040 / 0.070)
     assert entry["exits"] == {"parent": [0], "change": [0, 2]}
     assert summary[startup]["change"]["median"] == 0.060
     assert "excl_startup" not in summary[startup]
-    # without a start-up line there is nothing to take off
-    assert "excl_startup" not in bench_pairs.summarise_processes(runs[6:])["meanexp oracle class-group --disc -23"]
+    # a round where one side reports no in-child time is left out
+    runs[-1]["in_child_seconds"] = None
+    assert bench_pairs.summarise_processes(runs)[cmd]["excl_startup"]["pairs"] == 2
+    # and without in-child times there is nothing to compare
+    for run in runs:
+        run["in_child_seconds"] = None
+    assert "excl_startup" not in bench_pairs.summarise_processes(runs)[cmd]
 
 
-def _process_entry(bench_pairs, startup: tuple[list[float], list[float]], parent: list[float],
-                   change: list[float]) -> dict:
-    summary = bench_pairs.summarise_processes(_process_runs({bench_pairs.STARTUP: startup, "cmd": (parent, change)}))
+def _process_entry(bench_pairs, parent: list[float], change: list[float],
+                   startup: tuple[float, float] = (0.050, 0.050)) -> dict:
+    """excl_startup of one command whose in-child times are parent and change,
+    each round's wall time being its in-child time plus its side's start-up."""
+    walls = ([startup[0] + t for t in parent], [startup[1] + t for t in change])
+    summary = bench_pairs.summarise_processes(_process_runs({"cmd": walls}, {"cmd": (parent, change)}))
     return summary["cmd"]["excl_startup"]
 
 
 def test_cli_process_verdicts_are_taken_with_start_up_off(bench_pairs):
-    startup = ([0.050] * 10, [0.050] * 10)
-    # 70 ms against 80 ms is 14 % slower whole, but 30 ms against 20 ms past start-up
-    entry = _process_entry(bench_pairs, startup, [0.070] * 10, [0.080] * 10)
+    # 70 ms against 80 ms is 14 % slower whole, but 30 ms against 20 ms in the child
+    entry = _process_entry(bench_pairs, [0.020] * 10, [0.030] * 10)
     assert entry["pairs"] == 10 and entry["bound"] == 0.25 and entry["better"] == "lower"
     assert entry["change_over_parent"] == pytest.approx(1.5) and entry["verdict"] == "worse"
     assert entry["change_won_pairs"] == 0 and entry["gain_rule_met"] is False
-    # 20 ms past start-up against 10: a gain by both rules
-    parent = [0.070, 0.071, 0.069, 0.072, 0.070, 0.068, 0.071, 0.070, 0.069, 0.070]
-    entry = _process_entry(bench_pairs, startup, parent, [t - 0.010 for t in parent])
+    # 20 ms in the child against 10: a gain by both rules
+    parent = [0.020, 0.021, 0.019, 0.022, 0.020, 0.018, 0.021, 0.020, 0.019, 0.020]
+    entry = _process_entry(bench_pairs, parent, [t - 0.010 for t in parent])
     assert entry["change_won_pairs"] == 10 and entry["verdict"] == "within_bound"
     assert entry["pair_ratio"]["q3"] < 1 and entry["paired_gain_rule_met"] is True and entry["gain_rule_met"] is True
     assert entry["parent"]["median"] == pytest.approx(0.020) and entry["change"]["median"] == pytest.approx(0.010)
 
 
 def test_cli_processes_take_one_start_up_off_both_sides(bench_pairs):
-    # the sides' start-up runs differ by noise alone: an unchanged command reads 1
-    entry = _process_entry(bench_pairs, ([0.050] * 10, [0.057] * 10), [0.080] * 10, [0.080] * 10)
+    # the sides' start-ups differ by noise alone, and none of it is in the
+    # child's time: an unchanged command reads 1
+    entry = _process_entry(bench_pairs, [0.030] * 10, [0.030] * 10, startup=(0.050, 0.057))
     assert entry["change_over_parent"] == pytest.approx(1.0) and entry["verdict"] == "within_bound"
 
 
 def test_cli_process_verdicts_pair_by_round(bench_pairs):
-    startup = ([0.050] * 10, [0.050] * 10)
-    # a host that drifts from round to round: the change is 10 % faster past
-    # start-up in every round, inside the drift of the parent's own rounds
-    parent = [0.070, 0.090, 0.072, 0.088, 0.071, 0.089, 0.070, 0.090, 0.073, 0.087]
-    change = [0.050 + 0.9 * (t - 0.050) for t in parent]
-    entry = _process_entry(bench_pairs, startup, parent, change)
+    # a host that drifts from round to round: the change is 10 % faster in
+    # the child in every round, inside the drift of the parent's own rounds
+    parent = [0.020, 0.040, 0.022, 0.038, 0.021, 0.039, 0.020, 0.040, 0.023, 0.037]
+    entry = _process_entry(bench_pairs, parent, [0.9 * t for t in parent])
     assert entry["change_won_pairs"] == 10
     assert entry["pair_ratio"]["median"] == pytest.approx(0.9) and entry["paired_gain_rule_met"] is True
     assert entry["gain_rule_met"] is False
-    # the parent's spread past start-up is wider than the bound and the sides overlap
+    # the parent's spread in the child is wider than the bound and the sides overlap
     assert entry["verdict"] == "unresolved"
+
+
+def test_in_child_wrapper_keeps_the_exit_code(bench_pairs):
+    root = SCRIPT.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for argv, want in [(["oracle", "class-group", "--disc", "-23"], 0), (["frobnicate"], 64)]:
+        code, seconds, in_child = bench_pairs.process_seconds(root, ["-c", bench_pairs.IN_CHILD, *argv], env)
+        assert code == want and 0 < in_child < seconds
+    assert bench_pairs.process_seconds(root, ["-c", "pass"], env)[::2] == (0, None)
 
 
 def test_cli_commands_are_the_readme_commands(bench_pairs):

@@ -247,6 +247,20 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys):
         assert location in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, doubled", [
+    # json.load alone keeps the later value: example 2's refined bound would read 18.1959, not 9.0979
+    ("epsilon_linear", lambda text: text.rstrip()[:-1] + ', "epsilon_linear": 11}'),
+    ("x1_num", lambda text: text.replace('"x1_num": 2,', '"x1_num": 2, "x1_num": 3,', 1)),
+], ids=["top", "tv"])
+def test_scenario_key_given_twice_exits_2(tmp_path, capsys, key, doubled):
+    path = tmp_path / "twice.json"
+    text = (Path(scenario.__file__).parent / "scenarios" / "example2.json").read_text(encoding="utf-8")
+    path.write_text(doubled(text), encoding="utf-8")
+    code, out, err = run_cli(["tv-bound", "--scenario", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert str(path) in err and repr(key) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
 def test_closed_output_pipe_exits_141_without_traceback(mode):
     src = str(Path(__file__).resolve().parents[1] / "src")

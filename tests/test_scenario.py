@@ -2,6 +2,7 @@ import copy
 import enum
 import hashlib
 import heapq
+import importlib.util
 import json
 import math
 import time
@@ -9,6 +10,7 @@ import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from itertools import chain, takewhile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -995,12 +997,33 @@ def test_large_prime_power_norms_parse_without_factoring():
         ("tv", "x1_num", True, "tv.x1_num"),
         (None, "epsilon_linear", INF, "epsilon_linear"),
         (None, "coarse_B", NAN, "coarse_B"),
-        (None, "S_norms", [1], "S_norms[0]"),
+        (None, "S_norms", [1], "S_norms"),
         ("tv", "excluded", [1], "tv.excluded[0]"),
         ("tv", "sigma_fixed", [{"q": 6, "num": 1}], "tv.sigma_fixed[0]"),
-        (None, "ray_sigma", {"norms": [4]}, "ray_sigma.norms[0]"),
-        (None, "ray_sigma", {"norms": [7], "split_completely": "no"}, "ray_sigma.split_completely"),
+        (None, "ray_sigma", {"norms": [4]}, "ray_sigma"),
+        (None, "ray_sigma", {"norms": [7], "split_completely": "no"}, "ray_sigma"),
         ("tv", "eps_caps", [{"prime": 2, "eps_num": -2}], "tv.eps_caps[0]"),
+        # one unknown key per object
+        (None, "g_overide", 1.5, "g_overide"),
+        (None, "C0", 2.0, "C0"),
+        ("field", "d3_factors", [5], "field.d3_factors"),
+        (None, "field", {"type": "quadratic", "radicand_factors": [5], "d1_factors": [2]}, "field.d1_factors"),
+        ("T", "decc", [7], "T.decc"),
+        ("tv", "excludd", [9], "tv.excludd"),
+        ("tv", "sigma_fixed", [{"q": 9, "num": 1, "nums": 2}], "tv.sigma_fixed[0].nums"),
+        ("tv", "eps_caps", [{"prime": 2, "eps_num": 1, "eps": 1}], "tv.eps_caps[0].eps"),
+        ("tv", "capacity_overrides", [{"prime": 7, "norm": 7, "weight_num": 1, "weight": 1}],
+         "tv.capacity_overrides[0].weight"),
+        # each prime or prime power at most once per list
+        ("T", "dec", [7, 11, 7], "T.dec[2]"),
+        ("T", "inert", [3, 3], "T.inert[1]"),
+        ("tv", "excluded", [9, 9], "tv.excluded[1]"),
+        ("tv", "sigma_fixed", [{"q": 9, "num": 1}, {"q": 9, "num": 1}], "tv.sigma_fixed[1].q"),
+        ("tv", "eps_caps", [{"prime": 2, "eps_num": 1}, {"prime": 2, "eps_num": 2}], "tv.eps_caps[1].prime"),
+        ("tv", "capacity_overrides", [{"prime": 7, "norm": 7, "weight_num": 1},
+                                      {"prime": 7, "norm": 49, "weight_num": 1}], "tv.capacity_overrides[1].prime"),
+        # a splitting override's key is the prime as str(int(key)) writes it
+        ("tv", "splitting_overrides", {"89": "inert", "089": "split"}, "tv.splitting_overrides.089"),
     ],
 )
 def test_malformed_input_names_its_location(section, key, value, location):
@@ -1064,6 +1087,30 @@ def test_every_key_swap_raises_only_schema_error():
 def test_parse_scenario_fuzz_raises_only_schema_error(mutations):
     """Type swaps, deleted keys, nan/inf and bools on every key of MINIMAL."""
     _parses_or_schema_error(_mutated(mutations))
+
+
+def _shipped_inputs():
+    """The packaged scenarios, the README's minimal example and perfbench's
+    scenario-deep inputs (each base at each golden point)."""
+    for name in PACKAGED:
+        yield name, _packaged(name)
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("## Scenario files", 1)[1]
+    yield "README", json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for base in workloads.DEEP_BASES:
+        for i, _ in enumerate(workloads.golden("scenario_deep")["bases"][base]["points"]):
+            yield f"deep {base}/{i}", workloads.deep_input({"base": base, "point": i})
+
+
+def test_every_shipped_input_passes_the_closed_schema():
+    names = []
+    for name, data in _shipped_inputs():
+        parse_scenario(data)
+        names.append(name)
+    assert len(names) == len(PACKAGED) + 1 + 5 * 32
 
 
 def test_scenario_binds_the_writer():

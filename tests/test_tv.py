@@ -6,12 +6,7 @@ from itertools import accumulate, chain
 import pytest
 
 from meanexp.arith import PrimePower, left_sum, sieve_primes
-from meanexp.errors import (
-    DomainError,
-    InfeasibleProblemError,
-    MissingParameterError,
-    NeedsLargerEnumerationError,
-)
+from meanexp.errors import DomainError, InfeasibleProblemError, NeedsLargerEnumerationError
 from meanexp.tv import (
     A0_REAL,
     A1_COMPLEX,
@@ -28,7 +23,6 @@ from meanexp.tv import (
     mean_exponent_upper,
     optimize,
     per_level_bound,
-    propmain_upper,
     universal_B,
     zimmert_lower,
 )
@@ -161,16 +155,6 @@ def test_mean_exponent_upper():
     assert mean_exponent_upper(2, 2, 2 * math.log(2), 0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         mean_exponent_upper(0, 2, 1.0)
-
-
-def test_propmain_upper():
-    assert propmain_upper(1.0, 1, 2, 10 * math.log(2)) == pytest.approx(10.0)
-    assert propmain_upper(1.0, 2, 2, 10 * math.log(2)) == pytest.approx(5.0)
-    assert propmain_upper(3.5, 1, 2, 10 * math.log(2)) == pytest.approx(35.0)
-    with pytest.raises(MissingParameterError):
-        propmain_upper(None, 1, 2, 1.0)
-    with pytest.raises(DomainError):
-        propmain_upper(1.0, 0, 2, 1.0)
 
 
 def test_per_level_bound():
