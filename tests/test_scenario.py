@@ -1106,11 +1106,13 @@ def _shipped_inputs():
 
 
 def test_every_shipped_input_passes_the_closed_schema():
-    names = []
-    for name, data in _shipped_inputs():
-        parse_scenario(data)
-        names.append(name)
-    assert len(names) == len(PACKAGED) + 1 + 5 * 32
+    shipped = dict(_shipped_inputs())
+    assert len(shipped) == len(PACKAGED) + 1 + 5 * 32
+    for name, data in shipped.items():
+        try:
+            parse_scenario(data)
+        except SchemaError as exc:
+            pytest.fail(f"{name}: {exc}")
 
 
 def test_scenario_binds_the_writer():
