@@ -31,7 +31,7 @@ from itertools import accumulate, repeat
 from math import log, prod
 from operator import add, attrgetter, mul
 
-from .arith import PrimePower, factor, is_prime, kronecker, left_sum, prime_flags
+from .arith import factor, is_prime, kronecker, left_sum, prime_flags
 from .errors import DegenerateFieldError, DomainError
 from .frozen import Frozen
 
@@ -43,21 +43,21 @@ class SplitType(enum.Enum):
 
 
 def _factor_map(factors) -> tuple[int, dict[int, int]]:
-    """(sign, prime -> exponent) from a factor list like [-1, 2, 2, 2, 5]."""
+    """(sign, prime -> exponent) from a factor list like [-1, 2, 2, 2, 5];
+    a negative prime -q counts as -1 and q."""
     sign = 1
     out: dict[int, int] = {}
     for f in factors:
+        if f < 0:
+            sign = -sign
         if f == -1:
-            sign = -sign
-        elif f == 0 or f == 1:
+            continue
+        if f == 0 or f == 1:
             raise DomainError("factor lists may not contain 0 or 1")
-        elif f < 0:
-            sign = -sign
-            out[-f] = out.get(-f, 0) + 1
-        else:
-            if not is_prime(f):
-                raise DomainError(f"{f} is not prime; radicands must be given factored")
-            out[f] = out.get(f, 0) + 1
+        q = abs(f)
+        if not is_prime(q):
+            raise DomainError(f"{q} is not prime; radicands must be given factored")
+        out[q] = out.get(q, 0) + 1
     return sign, out
 
 
@@ -227,25 +227,6 @@ def quadratic_subfield(fld: FieldDescriptor) -> FieldDescriptor:
             m //= q
             fm[q] = fm.get(q, 0) + 1
     return _quadratic(1 if D > 0 else -1, fm)
-
-
-def disc_with_tame_conductor(fld: FieldDescriptor, norms, p: int) -> dict[int, int]:
-    """Factored |disc(K)| * prod of the norms of a tame place set.
-
-    `norms` is an iterable of place norms (prime powers) coprime to p.
-    """
-    out = dict(fld.abs_disc_factored)
-    for q in norms:
-        pp = q if isinstance(q, PrimePower) else PrimePower.from_value(q)
-        if pp.ell == p:
-            raise DomainError(f"place of norm {pp.value} lies above p = {p}; the set is not tame")
-        out[pp.ell] = out.get(pp.ell, 0) + pp.m
-    return out
-
-
-def log_disc_with_tame_conductor(fld: FieldDescriptor, norms, p: int) -> float:
-    fact = disc_with_tame_conductor(fld, norms, p)
-    return left_sum(e * log(q) for q, e in fact.items())
 
 
 def splitting_type(fld: FieldDescriptor, ell: int) -> SplitType:
@@ -447,12 +428,3 @@ def ramified_place_count(base: FieldDescriptor | None, extension_radicand, p: in
     arch = base.r1 if (sign < 0 and p == 2) else 0
     return finite + arch
 
-
-def field_from_spec(spec: dict) -> FieldDescriptor:
-    """Build a descriptor from the scenario-file JSON representation."""
-    kind = spec.get("type")
-    if kind == "quadratic":
-        return quadratic_field(spec["radicand_factors"])
-    if kind == "biquadratic":
-        return biquadratic_field(spec["d1_factors"], spec["d2_factors"])
-    raise DomainError(f"unknown field type {kind!r}")

@@ -26,8 +26,9 @@ starts from the nonzero terms (j, e_j) of the inverse series 1/U:
    Moebius function is the product of the factors 1 - q^-s), and divide
    each i*b_i by i.
 
-The float-log witness regime (quadratic relations only) reads its divisors
-and Moebius values from a table sieved on the same primes.  power_sums (the
+The float-log witness regime (quadratic relations only) starts past
+EXACT_ORDER_LIMIT, where the p-th power fold and the Moebius inversion move
+no float, so it reads i*b_i as the power sum s_i there.  power_sums (the
 integer recurrence s_m = d*s_{m-1} - r*s_{m-2}, exact for any sign of
 d^2 - 4r) shares no code with this route and serves as a check on it.
 """
@@ -42,8 +43,8 @@ from .arith import is_prime, left_sum, sieve_primes
 from .errors import DomainError, InapplicableError, SeriesError
 from .frozen import Frozen
 
-#: Largest order kept in exact big-integer arithmetic; beyond this the
-#: witness scan switches to log-domain floats (relative error <= 1e-6).
+#: Largest order kept in exact big-integer arithmetic, and the one split
+#: between the witness scan's exact rows and its log-domain float rows.
 EXACT_ORDER_LIMIT = 4096
 
 
@@ -143,18 +144,6 @@ def _inverse_support(coeffs: tuple[int, ...]) -> list[tuple[int, int]]:
         if e_m:
             support.append((m, e_m))
     return support
-
-
-def _moebius_table(n: int) -> list[int]:
-    """mu(0..n) by sieving: flip the sign on multiples of each prime q,
-    zero the multiples of q^2 (mu[0] is unused)."""
-    mu = [1] * (n + 1)
-    for q in sieve_primes(n) if n >= 2 else ():
-        for m in range(q, n + 1, q):
-            mu[m] = -mu[m]
-        for m in range(q * q, n + 1, q * q):
-            mu[m] = 0
-    return mu
 
 
 def _ranks_from_inverse(support: list[tuple[int, int]], p: int, order: int) -> ZassenhausRanks:
@@ -296,11 +285,8 @@ class WitnessRow(Frozen):
 
 
 def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
-    """log of sum(b_i, lo <= i < hi) in the float regime (quadratic case).
-
-    Uses b_i ~ V_i/i with V from the dominant-root expansion; the Moebius
-    corrections are exponentially small and folded in via log1p where they
-    are representable, giving relative error well under 1e-6 for i >= 32.
+    """log of sum(b_i, lo <= i < hi) in the float regime (quadratic case),
+    for a window that ends past EXACT_ORDER_LIMIT.
 
     Only the top K = ceil(45/log alpha) + 2 terms, max(lo, hi - K) <= i < hi,
     are summed; the rest of the window lies below float precision.  With
@@ -321,10 +307,19 @@ def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
     (K + 1)/alpha^2 <= 17.2 (the two terms give 138 and 482).  The dropped
     terms therefore move the log-sum by less than 2^-55, while the log-sum
     exceeds log b_H > 40, where one ulp is 2^-47 or more.
+
+    Each summed term is log(s_i) - log(i).  K <= 67 at alpha >= 2, so a
+    window with hi >= 4,096, as every float row's is, sums only indices
+    past 4,028.  There
+    i*b_i differs from s_i by the p-th power fold and the Moebius
+    corrections, fewer than 2i terms, each at most 2i*alpha^(i/2): relative
+    to s_i >= alpha^i, each is at most 2i*alpha^(-i/2) < 2^-2000, and all of
+    them together lie below the smallest positive float.  Nothing but s_i is
+    representable there.
     """
     if not params.quadratic:
         raise InapplicableError("float regime needs quadratic relations")
-    d, r, p = params.d, params.r, params.p
+    d, r = params.d, params.r
     disc = d * d - 4 * r
     if disc < 0:
         raise InapplicableError("float regime needs real roots (d^2 >= 4r)")
@@ -343,60 +338,22 @@ def _float_log_ranks(params: GSGroupParams, lo: int, hi: int) -> float:
                 return base + math.log1p(math.exp(ratio))
         return base
 
-    def log_V(m: int) -> float:
-        out = log_s(m)
-        if m % p == 0 and (m - m // p) * log_alpha < 750:
-            mm = m
-            scale = 1.0
-            while mm % p == 0:
-                mm //= p
-                scale *= p
-                delta = log_s(mm) + math.log(scale) - out
-                if delta > -700:
-                    out += math.log1p(math.exp(delta))
-        return out
-
     first = max(lo, hi - (math.ceil(45 / log_alpha) + 2))
-    # the Moebius corrections V_{i/e} shrink like alpha^(-i/2); the divisor
-    # table covers the summed indices up to the last one, top, where they
-    # can still reach float underflow range, and is skipped when there are
-    # none.  The strides visit e in ascending order, so each list holds i's
-    # divisors ascending.
-    top = first - 1
-    while top + 1 < hi and (top + 1 - (top + 1) // 2) * log_alpha < 750:
-        top += 1
-    divisors: list[list[int]] = [[] for _ in range(first, top + 1)]
-    if divisors:
-        mu = _moebius_table(top)
-        for e in range(2, top + 1):
-            if mu[e]:
-                for i in range(-(-first // e) * e, top + 1, e):
-                    divisors[i - first].append(e)
-
-    terms = []
-    for i in range(first, hi):
-        lv = log_V(i)
-        corr = 0.0
-        for e in divisors[i - first] if i <= top else ():
-            delta = log_V(i // e) - lv
-            if delta > -700:
-                corr += mu[e] * math.exp(delta)
-        terms.append(lv + math.log1p(max(corr, -0.999999)) - math.log(i))
+    terms = [log_s(i) - math.log(i) for i in range(first, hi)]
     peak = max(terms)
     return peak + math.log(left_sum(math.exp(t - peak) for t in terms))
 
 
-def theo2_witnesses(
-    params: GSGroupParams, epsilon: float, n_max: int, exact_limit: int = EXACT_ORDER_LIMIT
-) -> list[WitnessRow]:
+def theo2_witnesses(params: GSGroupParams, epsilon: float, n_max: int) -> list[WitnessRow]:
     """Scan n = 1..n_max for window_rank(n) >= index_log(n)^(2 - epsilon).
 
     The underlying growth theorem guarantees infinitely many such n for
     non-analytic groups of this type; the scan records which small n witness
-    it.  Rows with 2^(n+1) - 1 <= exact_limit are exact; beyond that the
-    quantities switch to the log-domain float regime and the row is marked.
-    The float regime models quadratic relations only and raises
-    InapplicableError for other degrees.  n_max is at most WITNESS_N_MAX.
+    it.  Rows with 2^(n+1) - 1 <= EXACT_ORDER_LIMIT (n <= 11) are exact;
+    beyond that the quantities switch to the log-domain float regime and the
+    row is marked.  The float regime models quadratic relations only and
+    raises InapplicableError for other degrees.  n_max is at most
+    WITNESS_N_MAX.
     """
     if not 0 < epsilon < 1:
         raise DomainError("epsilon must be in (0, 1)")
@@ -405,8 +362,8 @@ def theo2_witnesses(
     if n_max > WITNESS_N_MAX:
         raise DomainError(f"n_max must be at most {WITNESS_N_MAX}, got {n_max}")
     rows: list[WitnessRow] = []
-    # rows 1..n_exact are exact: 2^(n+1) - 1 <= exact_limit
-    n_exact = min(n_max, (max(exact_limit, 0) + 1).bit_length() - 2)
+    # rows 1..n_exact are exact: 2^(n+1) - 1 <= EXACT_ORDER_LIMIT
+    n_exact = min(n_max, (EXACT_ORDER_LIMIT + 1).bit_length() - 2)
     ranks = gs_ranks(params, 2 ** (n_exact + 1) - 1) if n_exact >= 1 else None
 
     for n in range(1, n_max + 1):

@@ -24,7 +24,7 @@ from typing import Any
 
 from .arith import PrimePower, is_prime, left_sum, sieve_primes
 from .errors import DomainError, SchemaError
-from .fields import field_from_spec, quadratic_subfield, splitting_type
+from .fields import biquadratic_field, quadratic_field, quadratic_subfield, splitting_type
 from .frozen import Frozen
 from . import fields, tv
 from .report import PrefixRows, dump_report  # dump_report stays a public name of this module
@@ -58,6 +58,12 @@ SCHEMA_KEYS = {
     "tv.capacity_overrides[i]": ("prime", "norm", "weight_num"),
 }
 FIELD_FACTORS = {"quadratic": ("radicand_factors",), "biquadratic": ("d1_factors", "d2_factors")}
+# the constructor of each field type, called on its FIELD_FACTORS lists in order
+_FIELD_BUILDERS = {"quadratic": quadratic_field, "biquadratic": biquadratic_field}
+# every integer the parser tests for primality is below this bound in
+# absolute value: is_prime is deterministic below it, and one test of a
+# number of a few thousand digits can take seconds
+_PRIME_TEST_BOUND = 1 << 64
 
 
 def _expect(cond: bool, message: str, location: str) -> None:
@@ -76,6 +82,13 @@ def _is_number(v) -> bool:
 
 def _is_prime(v) -> bool:
     return _is_int(v) and is_prime(v)
+
+
+def _testable(v, location: str) -> None:
+    """SchemaError at location when v is an integer too large to test for
+    primality (_PRIME_TEST_BOUND), before any test reads it."""
+    _expect(not _is_int(v) or abs(v) < _PRIME_TEST_BOUND,
+            "integers tested for primality must be below 2^64 in absolute value", location)
 
 
 def _is_prime_power(v) -> bool:
@@ -111,6 +124,8 @@ def _as_list(value, location: str, ok=_is_int, what: str = "integers", distinct:
     _expect(isinstance(value, list), "expected a list", location)
     seen = set()
     for i, v in enumerate(value):
+        if ok in (_is_prime, _is_prime_power):
+            _testable(v, f"{location}[{i}]")
         _expect(ok(v), f"expected {what}", f"{location}[{i}]")
         if distinct:
             _expect(v not in seen, f"{v} is listed twice", f"{location}[{i}]")
@@ -178,6 +193,7 @@ def parse_scenario(data: dict) -> Scenario:
     label = data.get("label", "")
     _expect(isinstance(label, str), "label must be a string", "label")
     p = data.get("p")
+    _testable(p, "p")
     _expect(_is_prime(p), "p must be a prime integer", "p")
 
     fspec = data.get("field")
@@ -190,8 +206,10 @@ def parse_scenario(data: dict) -> Scenario:
         factors = fspec.get(key, [])
         ok = isinstance(factors, list) and all(map(_is_int, factors))
         _expect(ok, "expected a list of integers", f"field.{key}")
+        for i, f in enumerate(factors):
+            _testable(f, f"field.{key}[{i}]")
     try:
-        field = field_from_spec(fspec)
+        field = _FIELD_BUILDERS[kind](*(fspec[key] for key in factor_keys))
     except (DomainError, KeyError) as exc:
         raise SchemaError(f"bad field spec: {exc}", location="field") from exc
 
@@ -226,6 +244,7 @@ def parse_scenario(data: dict) -> Scenario:
     if "sigma_fixed" in tvsec:
         sigma = {}
         for loc, entry in _entries(tvsec, "sigma_fixed"):
+            _testable(entry["q"], f"{loc}.q")
             _expect(_is_prime_power(entry["q"]), "q must be a prime power", loc)
             _expect(_is_number(entry["num"]) and entry["num"] >= 0, "num must be a number >= 0", loc)
             _once(sigma, entry["q"], f"{loc}.q")
@@ -234,6 +253,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     eps_caps = {}
     for loc, entry in _entries(tvsec, "eps_caps"):
+        _testable(entry["prime"], f"{loc}.prime")
         _expect(_is_prime(entry["prime"]), "prime required", loc)
         _expect(_is_number(entry["eps_num"]) and entry["eps_num"] >= 0, "eps_num must be a number >= 0", loc)
         _once(eps_caps, entry["prime"], f"{loc}.prime")
@@ -249,6 +269,7 @@ def parse_scenario(data: dict) -> Scenario:
         except ValueError:
             raise SchemaError("keys must be primes", location=loc) from None
         _expect(key == str(ell), f"keys must be primes in plain decimal, as {ell}", loc)
+        _testable(ell, loc)
         _expect(is_prime(ell), "keys must be primes", loc)
         _expect(val in ("split", "inert"), "values must be 'split' or 'inert'", loc)
         overrides[ell] = val
@@ -256,6 +277,7 @@ def parse_scenario(data: dict) -> Scenario:
     cap_overrides = {}
     for loc, entry in _entries(tvsec, "capacity_overrides"):
         ell, norm, weight = entry["prime"], entry["norm"], entry["weight_num"]
+        _testable(ell, f"{loc}.prime")
         _expect(_is_prime(ell), "prime required", loc)
         is_power = _is_int(norm) and norm >= ell and ell ** round(math.log(norm, ell)) == norm
         _expect(is_power, "norm must be a power of the prime", loc)
@@ -543,8 +565,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
     )
 
     # --- the greedy fill, reading the candidate stream up to ell_star_0
-    b_ded = None if sc.b_deduction_nums is None else (sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
-    solution = tv.optimize(problem, candidate_stream(sc), b_deduction=b_ded)
+    solution = tv.optimize(problem, candidate_stream(sc))
 
     lstar0 = solution.ell_star_0.norm if solution.ell_star_0 is not None else None
     # the doubling tier of norm_bound that holds the stop norm
@@ -558,8 +579,11 @@ def run_scenario_obj(sc: Scenario) -> dict:
                                                  if rec.kind != "split_full"))
     budget_after_nonsplit = (solution.budget - nonsplit_cost) * g
 
-    # honest-assembly B alongside the (possibly pinned) headline value
-    B_derived = tv.assemble_B(solution.sum_b_bound, problem.x0, problem.x1)
+    # the headline B takes a pinned archimedean deduction; the derived
+    # assembly, from the problem's own densities, is reported alongside
+    B_derived = B_upper = solution.B_upper
+    if sc.b_deduction_nums is not None:
+        B_upper = tv.assemble_B(solution.sum_b_bound, sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
 
     # --- assembled mean-exponent bounds; S is empty, so log sqrt(disc(K,S)) is g
     alpha_sig = sc.alpha_signature if sc.alpha_signature is not None else (field.r1, field.r2)
@@ -573,9 +597,9 @@ def run_scenario_obj(sc: Scenario) -> dict:
             "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_c),
         }
     if eps_used:
-        alpha_c = tv.alpha_constant(solution.B_upper, g, *alpha_sig)
+        alpha_c = tv.alpha_constant(B_upper, g, *alpha_sig)
         bounds_block["refined"] = {
-            "B": solution.B_upper,
+            "B": B_upper,
             "alpha_constant": alpha_c,
             "bound": tv.mean_exponent_upper(eps_used, sc.p, alpha_c),
         }
@@ -612,7 +636,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
             "alpha": solution.alpha,
             "sum_b_bound": solution.sum_b_bound,
             "sum_b_scaled": solution.sum_b_bound * g,
-            "B_upper": solution.B_upper,
+            "B_upper": B_upper,
             "B_upper_derived_assembly": B_derived,
             "b_deduction_pinned": sc.b_deduction_nums is not None,
             "degenerate": solution.degenerate,

@@ -206,17 +206,14 @@ def assemble_B(sum_b: float, x0: float, x1: float) -> float:
     return 1.0 + sum_b - x0 * B0_REAL - x1 * B1_COMPLEX
 
 
-def optimize(
-    problem: TVProblem,
-    candidates: Iterable[Record],
-    b_deduction: tuple[float, float] | None = None,
-) -> TVSolution:
+def optimize(problem: TVProblem, candidates: Iterable[Record]) -> TVSolution:
     """Greedy fractional fill of the budget over ascending candidate norms.
 
     Candidates must be one per rational prime, in strictly ascending norm
     order, each carrying its admissible density weight.  The first candidate
     that does not fit whole becomes ell_star_0 and is filled fractionally by
-    alpha in [0, 1); the payoff bound and the resulting B upper bound follow.
+    alpha in [0, 1); the payoff bound and the B upper bound follow, B
+    assembled from the problem's own x0 and x1 (`assemble_B`).
     Nothing after ell_star_0 is read, so `candidates` may be an unbounded
     stream.  Running out of candidates with budget left is an error unless no
     weight is positive, which makes the solution degenerate.
@@ -227,11 +224,6 @@ def optimize(
     over its norms and `at(i)`, its candidate at i; a run also has `head(k)`.
     Each record is checked whole, also past the stop, and read in one pass
     with the same float operations and fit test as one candidate at a time.
-
-    `b_deduction` optionally overrides the archimedean payoff deduction
-    (x0', x1') used in the B assembly; by default the problem's own
-    densities are used.  This exists so a scenario can pin a published
-    assembly alongside the derived one.
     """
     left = budget(problem)
     filled: list[Record] = []
@@ -278,12 +270,11 @@ def optimize(
     sum_b += left_sum(chain.from_iterable(c.payoffs() for c in filled))
     if ell_star_0 is not None:
         sum_b += alpha * ell_star_0.weight * b_coeff(ell_star_0.norm)
-    ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)
     return TVSolution(
         ell_star_0=ell_star_0,
         alpha=alpha,
         sum_b_bound=sum_b,
-        B_upper=assemble_B(sum_b, *ded),
+        B_upper=assemble_B(sum_b, problem.x0, problem.x1),
         budget=left,
         filled=tuple(filled),
         degenerate=degenerate,
@@ -300,14 +291,6 @@ def alpha_constant(B_value: float, log_sqrt_disc: float, r1: int, r2: int) -> fl
         - (r1 / 2.0) * (GAMMA + 1.0 + log(pi))
         - r2 * (GAMMA + log(2.0))
     )
-
-
-def alpha_constant_for_field(B_value: float, field, s_norms, p: int) -> float:
-    """`alpha_constant` evaluated on a field descriptor and a tame place set."""
-    from .fields import log_disc_with_tame_conductor
-
-    half_log = 0.5 * log_disc_with_tame_conductor(field, s_norms, p)
-    return alpha_constant(B_value, half_log, field.r1, field.r2)
 
 
 def mean_exponent_upper(epsilon, p: int, alpha_value: float, a_sigma: int = 0) -> float:

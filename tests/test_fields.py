@@ -9,10 +9,7 @@ from meanexp.fields import (
     FieldDescriptor,
     SplitType,
     biquadratic_field,
-    disc_with_tame_conductor,
-    field_from_spec,
     fundamental_discriminant,
-    log_disc_with_tame_conductor,
     norms_above,
     quadratic_field,
     quadratic_subfield,
@@ -30,7 +27,9 @@ def _packaged_field(name):
     from importlib import resources
 
     spec = json.loads(resources.files("meanexp").joinpath("scenarios", f"{name}.json").read_text())["field"]
-    return field_from_spec(spec)
+    if spec["type"] == "quadratic":
+        return quadratic_field(spec["radicand_factors"])
+    return biquadratic_field(spec["d1_factors"], spec["d2_factors"])
 
 
 def enumerate_norms(fld, bound):
@@ -102,24 +101,6 @@ def test_genus():
     assert unit.genus() == 0.0
 
 
-def test_disc_with_tame_conductor():
-    f = biquadratic_field([5], [-1, 5])
-
-    def value(fact):
-        out = 1
-        for p, e in fact.items():
-            out *= p**e
-        return out
-
-    assert value(disc_with_tame_conductor(f, [], 2)) == 400
-    assert value(disc_with_tame_conductor(f, [7, 11], 2)) == 30800
-    assert log_disc_with_tame_conductor(f, [7], 2) == pytest.approx(math.log(2800), abs=1e-12)
-    with pytest.raises(DomainError):
-        disc_with_tame_conductor(f, [4], 2)
-    # genus identity with empty conductor set
-    assert f.genus() == pytest.approx(0.5 * log_disc_with_tame_conductor(f, [], 3), abs=1e-12)
-
-
 def test_splitting_type():
     f = quadratic_field(-3)
     assert splitting_type(f, 7) is SplitType.SPLIT
@@ -185,13 +166,17 @@ def test_delta():
     assert plain.delta(3) == 0
 
 
-def test_field_from_spec():
-    f = field_from_spec({"type": "quadratic", "radicand_factors": [-1, 3]})
-    assert f.subfield_discs == (-3,)
-    g = field_from_spec({"type": "biquadratic", "d1_factors": [5], "d2_factors": [-1, 5]})
-    assert g.abs_disc == 400
-    with pytest.raises(DomainError):
-        field_from_spec({"type": "cubic"})
+def test_factor_lists_build_fields():
+    for factors, disc in (([-1, 3], -3), ([-3], -3), ([-2], -8), ([-1, -5], 5)):
+        assert quadratic_field(factors).subfield_discs == (disc,), factors
+    assert biquadratic_field([5], [-1, 5]).abs_disc == 400
+    assert quadratic_field(-4).subfield_discs == (-4,)
+    # a negative factor is -1 times a prime, tested as the prime is
+    for composite in (-4, -6, -9):
+        with pytest.raises(DomainError, match=f"^{-composite} is not prime"):
+            quadratic_field([composite])
+        with pytest.raises(DomainError, match=f"^{-composite} is not prime"):
+            biquadratic_field([5], [composite])
 
 
 def test_norms_above_two_characters_match_three():

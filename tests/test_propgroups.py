@@ -6,6 +6,7 @@ import random
 import pytest
 
 from meanexp import cli, propgroups
+from meanexp.arith import sieve_primes
 from meanexp.errors import DomainError, InapplicableError, SeriesError
 from meanexp.propgroups import (
     WITNESS_N_MAX,
@@ -13,7 +14,6 @@ from meanexp.propgroups import (
     SeriesExpansion,
     ZassenhausRanks,
     _float_log_ranks,
-    _moebius_table,
     b_power_of_two,
     gs_ranks,
     gs_series,
@@ -28,6 +28,19 @@ from meanexp.propgroups import (
 )
 
 GRID = [(4, 4), (5, 6), (6, 9)]
+
+
+def _moebius_table(n: int) -> list[int]:
+    """mu(0..n) by sieving: flip the sign on multiples of each prime q,
+    zero the multiples of q^2 (mu[0] is unused).  The Moebius values of the
+    reference routes below, independent of the strided pass."""
+    mu = [1] * (n + 1)
+    for q in sieve_primes(n) if n >= 2 else ():
+        for m in range(q, n + 1, q):
+            mu[m] = -mu[m]
+        for m in range(q * q, n + 1, q * q):
+            mu[m] = 0
+    return mu
 
 
 def reconstruct_series(ranks: ZassenhausRanks, order: int) -> SeriesExpansion:
@@ -273,32 +286,35 @@ def test_witnesses_epsilon_monotone():
 
 
 def test_witnesses_float_regime_matches_exact():
-    params = GSGroupParams(d=4, r=4, p=3)
-    exact = theo2_witnesses(params, 0.5, 5)
-    floaty = theo2_witnesses(params, 0.5, 5, exact_limit=8)
-    for e_row, f_row in zip(exact, floaty):
-        if f_row.regime == "exact":
-            assert e_row == f_row
-            continue
-        assert f_row.regime == "float-log"
-        # float rows carry logs; compare back in the raw domain
-        assert math.exp(f_row.index_log) == pytest.approx(e_row.index_log, rel=1e-6)
-        assert math.exp(f_row.window_rank) == pytest.approx(e_row.window_rank, rel=1e-6)
-        assert f_row.satisfied == e_row.satisfied
+    # the first two float rows against the logs of the exact ranks to 2^14 - 1
+    for d, r, p in ((4, 4, 3), (5, 2, 2), (3, 2, 5)):
+        params = GSGroupParams(d=d, r=r, p=p)
+        rows = theo2_witnesses(params, 0.5, 13)
+        ranks = gs_ranks(params, 2**14 - 1)
+        for row in rows[11:]:
+            assert row.regime == "float-log"
+            want = math.log(index_log(ranks, row.n)), math.log(window_rank(ranks, row.n))
+            assert row.index_log == pytest.approx(want[0], rel=1e-12, abs=0), (d, r, p, row.n)
+            assert row.window_rank == pytest.approx(want[1], rel=1e-12, abs=0), (d, r, p, row.n)
 
 
-def test_witnesses_float_regime_rejects_non_quadratic():
+def test_witnesses_float_regime_rejects_non_quadratic(capsys):
     # the float-log regime models X^2 - d*X + r only; other degrees must not
     # silently reuse it
     params = GSGroupParams(d=4, r=3, p=3, relation_degrees=(2, 3, 5))
     with pytest.raises(InapplicableError):
-        theo2_witnesses(params, 0.5, 4, exact_limit=30)
-    # rows up to n = 3 fit under the limit and stay exact
-    rows = theo2_witnesses(params, 0.5, 3, exact_limit=30)
-    ranks = zassenhaus_ranks(gs_series(params, 15), 3, 15)
-    assert [row.regime for row in rows] == ["exact"] * 3
-    assert rows[2].index_log == index_log(ranks, 3)
-    assert rows[2].window_rank == window_rank(ranks, 3)
+        theo2_witnesses(params, 0.5, 12)
+    argv = ["propgroup", "witnesses", "--d", "4", "--r", "3", "--p", "3", "--degrees", "2,3,5"]
+    assert cli.main([*argv, "--N", "12"]) == 2
+    assert "float regime needs quadratic relations" in capsys.readouterr().err
+    # rows up to n = 11 fit under the limit and read the exact ranks, in the
+    # log domain once they outgrow a float
+    rows = theo2_witnesses(params, 0.5, 11)
+    ranks = zassenhaus_ranks(gs_series(params, 4095), 3, 4095)
+    assert rows[2].regime == "exact"
+    assert (rows[2].index_log, rows[2].window_rank) == (index_log(ranks, 3), window_rank(ranks, 3))
+    il, wr = index_log(ranks, 11), window_rank(ranks, 11)
+    assert (rows[10].index_log, rows[10].window_rank) == (math.log(il), math.log(wr))
 
 
 def test_witnesses_survive_float_overflow_boundary():
@@ -380,8 +396,9 @@ TOP_K_TRIPLES = [(4, 4, 3), (5, 4, 2), (6, 5, 5), (3, 2, 3)]
 
 @pytest.mark.parametrize("d, r, p", TOP_K_TRIPLES)
 def test_float_log_top_terms_match_full_window(d, r, p):
+    # below order 4,095 the function models no window: it sums s_i/i only
     params = GSGroupParams(d=d, r=r, p=p)
-    for n in range(3, 17):
+    for n in range(12, 17):
         for lo, hi in ((1, 2**n), (2**n, 2 ** (n + 1))):
             want = _full_window_log_sum(d, r, p, lo, hi)
             assert _float_log_ranks(params, lo, hi) == pytest.approx(want, rel=1e-15, abs=0), (n, lo)
@@ -505,11 +522,10 @@ def test_witness_scan_asks_for_its_exact_rows_only(monkeypatch):
 
     monkeypatch.setattr(propgroups, "gs_ranks", recorded)
     params = GSGroupParams(d=4, r=4, p=3)
-    cases = [(12, 4096), (16, 4096), (11, 4095), (5, 4096), (5, 8), (3, 30), (3, 2), (3, 0), (3, -5), (0, 4096)]
-    for n_max, limit in cases:
-        theo2_witnesses(params, 0.5, n_max, exact_limit=limit)
+    for n_max in (12, 16, 11, 5, 3, 1, 0):
+        theo2_witnesses(params, 0.5, n_max)
     # b_(2^(n+1) - 1) is the last rank an exact row n reads
-    assert asked == [4095, 4095, 4095, 63, 7, 15]
+    assert asked == [4095, 4095, 4095, 63, 15, 3]
 
 
 def test_witness_scan_length_is_bounded():

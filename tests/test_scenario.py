@@ -222,6 +222,18 @@ def test_packaged_example2_coarse_bound():
     assert report["bounds"]["coarse"]["B"] == 1.0765
 
 
+def test_b_upper_is_assembled_once_from_the_fill():
+    # the fill's own B is the derived assembly; a pinned deduction is applied
+    # to the fill's payoff sum, once, for the headline B
+    full = cli.run_packaged_example("example2")
+    report, g = full["tv"], full["field"]["genus_used"]
+    assert report["B_upper"].hex() == tv.assemble_B(report["sum_b_bound"], 2 / g, 0).hex()
+    assert report["B_upper"] != report["B_upper_derived_assembly"]
+    report = cli.run_packaged_example("example1")["tv"]
+    assert not report["b_deduction_pinned"]
+    assert report["B_upper"].hex() == report["B_upper_derived_assembly"].hex()
+
+
 def test_packaged_intro_radicands_multiply_out():
     import math
     from importlib import resources
@@ -511,18 +523,14 @@ def test_capacity_override_rejects(entry):
 
 
 def _problem(sc):
-    """(problem, b_deduction) as run_scenario_obj sets them up."""
+    """The TVProblem as run_scenario_obj sets it up."""
     g = sc.genus
     pairs = sc.sigma_fixed_pin
     if pairs is None:
         pairs = [(q, float(num)) for q, num in _derived_sigma_fixed(sc)]
-    problem = tv.TVProblem(
+    return tv.TVProblem(
         x0=sc.x0_num / g, x1=sc.x1_num / g, fixed=tuple((PrimePower.from_value(q), num / g) for q, num in pairs)
     )
-    b_ded = None
-    if sc.b_deduction_nums is not None:
-        b_ded = (sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g)
-    return problem, b_ded
 
 
 def _reference_fill(data: dict) -> dict:
@@ -530,7 +538,7 @@ def _reference_fill(data: dict) -> dict:
     bound, a list fill, and a doubled bound whenever the list runs out."""
     sc = parse_scenario(data)
     g = sc.genus
-    problem, b_ded = _problem(sc)
+    problem = _problem(sc)
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
     bound = sc.norm_bound
@@ -539,7 +547,7 @@ def _reference_fill(data: dict) -> dict:
         infos = sorted((ci for ci in infos if ci is not None and ci.norm <= bound), key=lambda ci: ci.norm)
         cands = [tv.Candidate(ci.prime, ci.norm, ci.weight_num / g) for ci in infos]
         try:
-            sol = tv.optimize(problem, cands, b_deduction=b_ded)
+            sol = tv.optimize(problem, cands)
             break
         except NeedsLargerEnumerationError:
             if bound >= _MAX_NORM_BOUND:
@@ -554,7 +562,9 @@ def _reference_fill(data: dict) -> dict:
              "kind": by_norm[c.norm].kind, "pinned": by_norm[c.norm].pinned}
             for c in sol.prefix
         ],
-        "B_upper": sol.B_upper,
+        "B_upper": sol.B_upper if sc.b_deduction_nums is None else tv.assemble_B(
+            sol.sum_b_bound, sc.b_deduction_nums[0] / g, sc.b_deduction_nums[1] / g),
+        "B_upper_derived_assembly": sol.B_upper,
         "norm_bound_used": bound,
     }
 
@@ -708,8 +718,7 @@ def test_prefix_view_lists_the_rows_of_its_records(name):
     assert list(view) == want and repr(list(view)) == repr(want)
     assert len(view) == len(want) == sum(len(rec.norms) for rec in view.records)
     sc = parse_scenario(_deep("example1", 0.03) if name not in PACKAGED else _packaged(name))
-    problem, b_ded = _problem(sc)
-    sol = tv.optimize(problem, candidate_stream(sc), b_deduction=b_ded)
+    sol = tv.optimize(_problem(sc), candidate_stream(sc))
     assert want == [{"norm": c.norm, "prime": c.prime, "weight_num": c.weight_num, "kind": c.kind,
                      "pinned": c.pinned} for c in sol.prefix]
     assert dump_report(report) == _indented_rows(report)
@@ -886,18 +895,18 @@ FILL_CASES = (
 @pytest.mark.parametrize("data", [data for _, data in FILL_CASES], ids=[name for name, _ in FILL_CASES])
 def test_fill_over_runs_matches_the_fill_over_candidates(data):
     sc = parse_scenario(copy.deepcopy(data))
-    problem, b_ded = _problem(sc)
-    runs = tv.optimize(problem, candidate_stream(sc), b_deduction=b_ded)
+    problem = _problem(sc)
+    runs = tv.optimize(problem, candidate_stream(sc))
     hash(runs)
     for other in (_expanded(candidate_stream(sc)), _reference_stream(sc)):
-        _assert_same_fill(runs, _reference_optimize(problem, other, b_deduction=b_ded))
+        _assert_same_fill(runs, _reference_optimize(problem, other))
 
 
 @pytest.mark.parametrize("data, kind", [(_deep("example1", 0.3), "split_full"),
                                         (_quadratic_with_everything([-1, 5, 7, 11, 13], 0.3), "quadratic")])
 def test_unnamed_split_primes_come_as_runs(data, kind):
     sc = parse_scenario(data)
-    problem, _ = _problem(sc)
+    problem = _problem(sc)
     filled = tv.optimize(problem, candidate_stream(sc)).filled
     runs = [rec for rec in filled if isinstance(rec, SplitRun)]
     assert {rec.kind for rec in runs} == {kind} and max(len(rec.primes) for rec in runs) > 20
@@ -1024,6 +1033,21 @@ def test_large_prime_power_norms_parse_without_factoring():
                                       {"prime": 7, "norm": 49, "weight_num": 1}], "tv.capacity_overrides[1].prime"),
         # a splitting override's key is the prime as str(int(key)) writes it
         ("tv", "splitting_overrides", {"89": "inert", "089": "split"}, "tv.splitting_overrides.089"),
+        # a negative factor is -1 times a prime
+        (None, "field", {"type": "quadratic", "radicand_factors": [-4]}, "field"),
+        (None, "field", {"type": "quadratic", "radicand_factors": [-6]}, "field"),
+        (None, "field", {"type": "quadratic", "radicand_factors": [-9]}, "field"),
+        # integers tested for primality are below 2^64
+        (None, "p", 2**64 + 13, "p"),
+        ("field", "d2_factors", [-1, 3, -(2**64 + 13)], "field.d2_factors[2]"),
+        ("T", "dec", [7, 2**4423 - 1], "T.dec[1]"),
+        ("T", "inert", [2**64 + 13], "T.inert[0]"),
+        ("tv", "excluded", [2**64 + 13], "tv.excluded[0]"),
+        ("tv", "sigma_fixed", [{"q": (2**64 + 13) ** 2, "num": 1}], "tv.sigma_fixed[0].q"),
+        ("tv", "eps_caps", [{"prime": 2**64 + 13, "eps_num": 1}], "tv.eps_caps[0].prime"),
+        ("tv", "capacity_overrides", [{"prime": 2**64 + 13, "norm": 2**64 + 13, "weight_num": 1}],
+         "tv.capacity_overrides[0].prime"),
+        ("tv", "splitting_overrides", {str(2**64 + 13): "split"}, f"tv.splitting_overrides.{2**64 + 13}"),
     ],
 )
 def test_malformed_input_names_its_location(section, key, value, location):
@@ -1032,6 +1056,20 @@ def test_malformed_input_names_its_location(section, key, value, location):
     with pytest.raises(SchemaError) as err:
         parse_scenario(data)
     assert err.value.location == location
+
+
+def test_primality_inputs_past_2_64_fail_before_any_test():
+    # is_prime takes seconds on a Mersenne prime of 1,332 digits
+    data = copy.deepcopy(MINIMAL)
+    data["T"]["dec"] = [2**4423 - 1]
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="below 2\\^64") as err:
+        parse_scenario(data)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.location == "T.dec[0]"
+    # the largest prime below the bound is tested, and parses
+    data["T"]["dec"] = [2**64 - 59]
+    assert parse_scenario(data).t_dec == [2**64 - 59]
 
 
 def _key_paths(obj: dict, prefix=()):

@@ -135,21 +135,6 @@ def test_alpha_constant():
     assert val == pytest.approx(30.689, abs=1e-3)
 
 
-def test_alpha_constant_for_field():
-    from meanexp.fields import biquadratic_field
-    from meanexp.tv import alpha_constant_for_field
-
-    fld = biquadratic_field([2, 2, 2, 5, 7, 11, 13, 17, 19, 23], [-1, 3])
-    # empty tame set reduces to the plain genus form with the field signature
-    assert alpha_constant_for_field(1.0938, fld, [], 2) == pytest.approx(
-        alpha_constant(1.0938, G_EX1, 0, 2), abs=1e-9
-    )
-    # adding a norm-7 place raises the log sqrt disc term by log(7)/2
-    bumped = alpha_constant_for_field(1.0, fld, [7], 2)
-    plain = alpha_constant_for_field(1.0, fld, [], 2)
-    assert bumped - plain == pytest.approx(0.5 * math.log(7), abs=1e-12)
-
-
 def test_mean_exponent_upper():
     assert mean_exponent_upper(1, 2, 0.0, 5) == 5
     assert mean_exponent_upper(2, 2, 2 * math.log(2), 0) == pytest.approx(1.0)
@@ -192,9 +177,9 @@ def test_optimize_reads_only_up_to_ell_star_0():
 
 def test_optimize_degenerate_uses_common_assembly():
     fixed = ((P(9), 0.01),)
-    sol = optimize(TVProblem(x0=0, x1=0.02, fixed=fixed), [Candidate(2, 2, 0.0)], b_deduction=(0.1, 0.0))
+    sol = optimize(TVProblem(x0=0.1, x1=0.02, fixed=fixed), [Candidate(2, 2, 0.0)])
     assert sol.degenerate and sol.ell_star_0 is None and sol.prefix == ()
-    assert sol.B_upper == assemble_B(b_coeff(9) * 0.01, 0.1, 0.0)
+    assert sol.B_upper == assemble_B(b_coeff(9) * 0.01, 0.1, 0.02)
 
 
 def _exact_fill(left: Fraction, cands):
@@ -237,7 +222,7 @@ def test_norm_order_is_ratio_order():
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
 
 
-def _reference_optimize(problem, candidates, b_deduction=None):
+def _reference_optimize(problem, candidates):
     """The greedy fill one candidate at a time: the reference that
     `optimize`, which reads whole records, is checked against."""
     left = budget(problem)
@@ -273,12 +258,11 @@ def _reference_optimize(problem, candidates, b_deduction=None):
     sum_b += left_sum(cand.weight * b_coeff(cand.norm) for cand in filled)
     if ell_star_0 is not None:
         sum_b += alpha * ell_star_0.weight * b_coeff(ell_star_0.norm)
-    ded = b_deduction if b_deduction is not None else (problem.x0, problem.x1)
     return TVSolution(
         ell_star_0=ell_star_0,
         alpha=alpha,
         sum_b_bound=sum_b,
-        B_upper=assemble_B(sum_b, *ded),
+        B_upper=assemble_B(sum_b, problem.x0, problem.x1),
         budget=left,
         filled=tuple(filled),
         degenerate=degenerate,
