@@ -1,7 +1,10 @@
 """Elementary number-theoretic primitives.
 
 Everything here is exact integer arithmetic, left_sum aside; callers that
-need floats convert at the boundary.  All functions are pure.
+need floats convert at the boundary.  All functions are pure but one:
+`prime_flags` keeps the primality of the odd numbers up to MAX_NORM_BOUND
+in one table per process, sieved on first use and grown by doubling, so
+that every sieve call after the first reads it in place of sieving again.
 """
 
 from __future__ import annotations
@@ -17,6 +20,19 @@ from .frozen import Frozen
 
 # Witnesses making Miller-Rabin deterministic below 3.3 * 10^24 (> 2^64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: Input checks keep the integers they test for primality below this bound
+#: in absolute value: is_prime is deterministic below it, and one test of a
+#: number of a few thousand digits can take seconds.
+PRIME_TEST_BOUND = 1 << 64
+
+#: The candidate stream reads norms up to max(tv.norm_bound, MAX_NORM_BOUND);
+#: the prime table of `prime_flags` grows to at most this bound (1 MB).
+MAX_NORM_BOUND = 2_000_000
+
+# byte i is 1 when 3 + 2i is prime, for the odd numbers up to 2 * len + 1;
+# only _odd_table replaces it, whole, by one assignment, and never writes it
+_odd_flags = bytearray()
 
 
 def left_sum(values):
@@ -69,15 +85,27 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def prime_flags(lo: int, hi: int) -> bytearray:
-    """One segment of a segmented sieve over the odd numbers, one byte each:
-    byte i is 1 when x0 + 2i is prime, for the odd x0 + 2i in (lo, hi],
-    x0 = (lo + 1) | 1, lo >= 1; crossed off by the odd primes up to sqrt(hi).
-    The prime 2 is left to the caller."""
+    """One segment of a sieve over the odd numbers, one byte each: byte i is
+    1 when x0 + 2i is prime, for the odd x0 + 2i in (lo, hi],
+    x0 = (lo + 1) | 1, lo >= 1.  The prime 2 is left to the caller.
+
+    Up to MAX_NORM_BOUND the segment is a copy of the process's prime table,
+    which the caller may write into; past it the segment is sieved by the
+    table's odd primes up to sqrt(hi)."""
     x0 = (lo + 1) | 1
     n = len(range(x0, hi + 1, 2))
+    if hi > MAX_NORM_BOUND:
+        return _sieve_segment(x0, n, primes_between(2, isqrt(hi)))
+    start = (x0 - 3) // 2
+    return _odd_table(hi)[start : start + n]
+
+
+def _sieve_segment(x0: int, n: int, primes) -> bytearray:
+    """Flags of the n odd numbers from x0 on, crossed off by the odd primes
+    given, which run up to the square root of the last."""
     flags = bytearray([1]) * n
     zeros = bytes(n // 3 + 1)
-    for p in primes_between(2, isqrt(hi)) if hi >= 9 else ():
+    for p in primes:
         # p^2, or the first odd multiple of p from x0 on; odd multiples are
         # 2p apart, so p bytes apart
         first = -(-x0 // p) * p
@@ -85,6 +113,28 @@ def prime_flags(lo: int, hi: int) -> bytearray:
         first = (first - x0) // 2
         flags[first::p] = zeros[: (n - 1 - first) // p + 1]
     return flags
+
+
+def _odd_table(hi: int) -> bytearray:
+    """The prime table, grown to hold every odd number up to hi, hi at most
+    MAX_NORM_BOUND: to at least twice its top, so a process sieves each
+    number once and grows the table O(log hi) times.
+
+    A table is never written after it is made, and each growth reads and
+    extends one snapshot, so threads that grow it at once each get a table
+    that holds their hi, and the last one made stays."""
+    global _odd_flags
+    table = _odd_flags
+    top = 2 * len(table) + 1
+    if hi <= top:
+        return table
+    new_top = min(max(hi, 2 * top), MAX_NORM_BOUND)
+    primes = primes_between(2, isqrt(new_top))  # may itself grow the table
+    table = _odd_flags
+    top = 2 * len(table) + 1
+    table = table + _sieve_segment(top + 2, len(range(top + 2, new_top + 1, 2)), primes)
+    _odd_flags = table
+    return table
 
 
 def primes_between(lo: int, hi: int) -> list[int]:

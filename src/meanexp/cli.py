@@ -50,6 +50,15 @@ def _int_arg(text: str, flag: str) -> int:
         raise SchemaError(f"expected an integer, got {text!r}", location=flag) from None
 
 
+def _testable_prime(p: int, flag: str) -> None:
+    """SchemaError naming flag when p is too large to test for primality
+    (`arith.PRIME_TEST_BOUND`), before any test reads it."""
+    from .arith import PRIME_TEST_BOUND
+
+    if abs(p) >= PRIME_TEST_BOUND:
+        raise SchemaError("integers tested for primality must be below 2^64 in absolute value", location=flag)
+
+
 def _parse_shape(text: str):
     """Parse 'p:2,exps:3,1' into a group shape (`groups.AbelianPShape`)."""
     from .groups import AbelianPShape
@@ -73,6 +82,7 @@ def _parse_shape(text: str):
             raise SchemaError(f"cannot parse shape token {token!r}", location="--shape")
     if p is None:
         raise SchemaError("shape needs a p: entry", location="--shape")
+    _testable_prime(p, "--shape")
     return AbelianPShape(p=p, exps=tuple(exps))
 
 
@@ -205,6 +215,7 @@ def _cmd_propgroup(args) -> dict:
         raise SchemaError(f"expected at most 10^{WITNESS_D_EXP} for witnesses, got {args.d}", location="--d")
     if args.mode == "witnesses" and args.r > WITNESS_D_MAX**2:
         raise SchemaError(f"expected at most 10^{2 * WITNESS_D_EXP} for witnesses, got {args.r}", location="--r")
+    _testable_prime(args.p, "--p")
     from . import propgroups
 
     params = propgroups.GSGroupParams(

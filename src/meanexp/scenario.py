@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from itertools import chain, takewhile
 from typing import Any
 
-from .arith import PrimePower, is_prime, left_sum, sieve_primes
+from .arith import MAX_NORM_BOUND, PRIME_TEST_BOUND, PrimePower, is_prime, left_sum, sieve_primes
 from .errors import DomainError, SchemaError
 from .fields import biquadratic_field, quadratic_field, quadratic_subfield, splitting_type
 from .frozen import Frozen
@@ -33,8 +33,6 @@ from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verd
 SCHEMA_VERSION = 1
 REPORT_VERSION = 1
 
-# the stream reads norms up to max(tv.norm_bound, _MAX_NORM_BOUND)
-_MAX_NORM_BOUND = 2_000_000
 #: The largest tv.norm_bound.  The stream sieves in segments of at most
 #: _SEGMENT numbers, so its memory does not grow with the bound; below the
 #: square root of the bound it also lists the primes, at most 3,401.
@@ -60,10 +58,6 @@ SCHEMA_KEYS = {
 FIELD_FACTORS = {"quadratic": ("radicand_factors",), "biquadratic": ("d1_factors", "d2_factors")}
 # the constructor of each field type, called on its FIELD_FACTORS lists in order
 _FIELD_BUILDERS = {"quadratic": quadratic_field, "biquadratic": biquadratic_field}
-# every integer the parser tests for primality is below this bound in
-# absolute value: is_prime is deterministic below it, and one test of a
-# number of a few thousand digits can take seconds
-_PRIME_TEST_BOUND = 1 << 64
 
 
 def _expect(cond: bool, message: str, location: str) -> None:
@@ -86,8 +80,8 @@ def _is_prime(v) -> bool:
 
 def _testable(v, location: str) -> None:
     """SchemaError at location when v is an integer too large to test for
-    primality (_PRIME_TEST_BOUND), before any test reads it."""
-    _expect(not _is_int(v) or abs(v) < _PRIME_TEST_BOUND,
+    primality (PRIME_TEST_BOUND), before any test reads it."""
+    _expect(not _is_int(v) or abs(v) < PRIME_TEST_BOUND,
             "integers tested for primality must be below 2^64 in absolute value", location)
 
 
@@ -228,9 +222,11 @@ def parse_scenario(data: dict) -> Scenario:
 
     alpha_sig = data.get("alpha_signature")
     if alpha_sig is not None:
-        sig = _as_list(alpha_sig, "alpha_signature")
-        _expect(len(sig) == 2 and min(sig) >= 0, "expected [r1, r2]", "alpha_signature")
-        alpha_sig = (sig[0], sig[1])
+        # r1 and r2 enter the float alpha constant, so each converts to float
+        ok = (isinstance(alpha_sig, list) and len(alpha_sig) == 2
+              and all(_is_int(v) and _is_number(v) and v >= 0 for v in alpha_sig))
+        _expect(ok, "expected [r1, r2], integers >= 0 that convert to float", "alpha_signature")
+        alpha_sig = (alpha_sig[0], alpha_sig[1])
 
     tvsec = data.get("tv", {})
     _expect(isinstance(tvsec, dict), "tv must be an object", "tv")
@@ -397,7 +393,7 @@ def _candidate_for_prime(
 
 def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo | SplitRun]:
     """Every open prime's candidate in strictly ascending norm, up to
-    max(norm_bound, _MAX_NORM_BOUND), with each stretch of unnamed fully
+    max(norm_bound, MAX_NORM_BOUND), with each stretch of unnamed fully
     split primes as one `SplitRun`.
 
     The primes are sieved in segments that grow by doubling from
@@ -419,7 +415,7 @@ def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo | SplitRun]:
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
     g = sc.genus
-    limit = max(sc.norm_bound, _MAX_NORM_BOUND)
+    limit = max(sc.norm_bound, MAX_NORM_BOUND)
     waiting: list[tuple[int, CandidateInfo | int]] = []
 
     def visit(ell: int, split: bool | None) -> None:
@@ -571,7 +567,7 @@ def run_scenario_obj(sc: Scenario) -> dict:
     # the doubling tier of norm_bound that holds the stop norm
     bound = sc.norm_bound
     while lstar0 is not None and bound < lstar0:
-        bound = min(bound * 2, _MAX_NORM_BOUND)
+        bound = min(bound * 2, MAX_NORM_BOUND)
     split_below = sum(len(rec.primes) for rec in solution.filled if rec.kind == "split_full")
     # budget left once everything except the totally split candidates is paid
     # for -- the published computations quote this intermediate

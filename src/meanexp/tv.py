@@ -29,7 +29,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import exp, log, pi, sqrt
 from operator import le, lt, sub
 
-from .arith import left_sum
+from .arith import MAX_NORM_BOUND, left_sum
 from .errors import DomainError, InfeasibleProblemError, NeedsLargerEnumerationError
 from .frozen import Frozen
 
@@ -45,12 +45,20 @@ B0_REAL = log(2.0)
 B1_COMPLEX = log(2 * pi)
 
 
+def _a(qv: float) -> float:
+    return log(qv) / (sqrt(qv) - 1.0)
+
+
+def _b(qv: float) -> float:
+    return log(qv / (qv - 1.0))
+
+
 def a_coeff(q) -> float:
     """Budget coefficient log q / (sqrt(q) - 1); strictly decreasing in q >= 2."""
     qv = float(int(q))
     if qv < 2:
         raise DomainError(f"norm must be >= 2, got {q}")
-    return log(qv) / (sqrt(qv) - 1.0)
+    return _a(qv)
 
 
 def b_coeff(q) -> float:
@@ -58,7 +66,21 @@ def b_coeff(q) -> float:
     qv = float(int(q))
     if qv < 2:
         raise DomainError(f"norm must be >= 2, got {q}")
-    return log(qv / (qv - 1.0))
+    return _b(qv)
+
+
+# a(q) and b(q) by norm q <= MAX_NORM_BOUND, each computed once per process
+# by `Record.costs`/`payoffs`; both are positive there, so a miss reads None
+_A_OF: dict[int, float] = {}
+_B_OF: dict[int, float] = {}
+
+
+def _miss(table: dict[int, float], coeff, q) -> float:
+    """coeff(float(q)), kept in table when q <= MAX_NORM_BOUND."""
+    value = coeff(float(q))
+    if q <= MAX_NORM_BOUND:
+        table[q] = value
+    return value
 
 
 def universal_B(mode: str) -> float:
@@ -89,14 +111,16 @@ class Record:
     __slots__ = ()
 
     def costs(self) -> list[float]:
-        """weight * a_coeff(q) per norm q, in the same float operations."""
-        w = self.weight
-        return [w * (log(q) / (sqrt(q) - 1.0)) for q in map(float, self.norms)]
+        """weight * a_coeff(q) per norm q, in the same float operations; a(q)
+        is computed once per process for q <= MAX_NORM_BOUND and then read."""
+        w, a = self.weight, _A_OF.get
+        return [w * (a(q) or _miss(_A_OF, _a, q)) for q in self.norms]
 
     def payoffs(self) -> list[float]:
-        """weight * b_coeff(q) per norm q, in the same float operations."""
-        w = self.weight
-        return [w * log(q / (q - 1.0)) for q in map(float, self.norms)]
+        """weight * b_coeff(q) per norm q, in the same float operations; b(q)
+        is computed once per process for q <= MAX_NORM_BOUND and then read."""
+        w, b = self.weight, _B_OF.get
+        return [w * (b(q) or _miss(_B_OF, _b, q)) for q in self.norms]
 
     def expand(self):
         return map(self.at, range(len(self.norms)))

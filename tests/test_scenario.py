@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from meanexp import cli, fields, tv
 from meanexp import scenario as scenario_module
-from meanexp.arith import PrimePower, sieve_primes
+from meanexp.arith import MAX_NORM_BOUND, PrimePower, sieve_primes
 from meanexp.errors import InfeasibleProblemError, NeedsLargerEnumerationError, SchemaError
 from meanexp.report import PrefixRows, _round_floats, dump_report
 from meanexp.scenario import (
-    _MAX_NORM_BOUND,
     NORM_BOUND_MAX,
     CandidateInfo,
     SplitRun,
@@ -550,9 +549,9 @@ def _reference_fill(data: dict) -> dict:
             sol = tv.optimize(problem, cands)
             break
         except NeedsLargerEnumerationError:
-            if bound >= _MAX_NORM_BOUND:
+            if bound >= MAX_NORM_BOUND:
                 raise
-            bound = min(2 * bound, _MAX_NORM_BOUND)
+            bound = min(2 * bound, MAX_NORM_BOUND)
     by_norm = {ci.norm: ci for ci in infos}
     return {
         "ell_star_0": None if sol.ell_star_0 is None else sol.ell_star_0.norm,
@@ -603,7 +602,7 @@ def _minimal_with_pins() -> dict:
 
 def _deep_with_pins_above_root() -> dict:
     """example1 at x1_num 0.3 with a pin of each kind on primes past
-    isqrt(_MAX_NORM_BOUND) = 1414, where the stream visits only the fully
+    isqrt(MAX_NORM_BOUND) = 1414, where the stream visits only the fully
     split primes and the primes the scenario names; ell_star_0 lies past them.
 
     Fully split: 1423, 1429, 1453, 1459.  Not fully split: 1427, 1433."""
@@ -663,7 +662,7 @@ def _reference_stream(sc):
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
     g = sc.genus
-    limit = max(sc.norm_bound, _MAX_NORM_BOUND)
+    limit = max(sc.norm_bound, MAX_NORM_BOUND)
     overrides = [(q, None) for q in sorted(sc.capacity_overrides) if q <= limit]
     primes = _reference_readable_primes(sc, limit) if cap_num > 0 else overrides
     waiting = []
@@ -926,7 +925,7 @@ def test_stream_builds_small_primes_only_when_it_reaches_their_square(monkeypatc
     lstar0 = run_scenario_data(data)["tv"]["ell_star_0"]
     named = set(sc.field.abs_disc_factored) | set(sc.eps_caps)
     assert built and all(ell in named or ell * ell <= lstar0 for ell in built)
-    assert len(built) < len(sieve_primes(math.isqrt(_MAX_NORM_BOUND))) // 4
+    assert len(built) < len(sieve_primes(math.isqrt(MAX_NORM_BOUND))) // 4
 
 
 @pytest.mark.parametrize("bound", [10**30, 2**61 - 1, NORM_BOUND_MAX + 1])
