@@ -1,15 +1,21 @@
 import math
 import random
+import sys
+import threading
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
 
+from meanexp import arith
 from meanexp.arith import (
+    MAX_NORM_BOUND,
     left_sum,
     PrimePower,
     factor,
     is_prime,
     kronecker,
+    prime_flags,
     primes_between,
     sieve_primes,
 )
@@ -177,3 +183,117 @@ def test_left_sum_adds_left_to_right():
     assert left_sum(iter(values)) == ((1.0 + 1e100) + 1.0) - 1e100
     assert left_sum([]) == 0 and type(left_sum([])) is int
     assert left_sum([3, 4]) == 7
+
+
+def _reference_sieve(limit):
+    """Byte n is 1 when n is prime, for n in [0, limit]: Eratosthenes over
+    every integer, sharing no code with the library."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
+    return flags
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _reference_sieve(MAX_NORM_BOUND + 60_000)
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty prime table, as a fresh process starts with."""
+    monkeypatch.setattr(arith, "_odd_flags", bytearray())
+
+
+def _want(reference, lo, hi):
+    """prime_flags(lo, hi) and primes_between(lo, hi) read off the reference."""
+    x0 = (lo + 1) | 1
+    flags = reference[x0 : hi + 1 : 2] if hi >= x0 else bytearray()
+    return flags, list(compress(range(lo + 1, hi + 1), reference[lo + 1 : hi + 1]))
+
+
+def test_prime_table_matches_a_reference_sieve(reference, cold_table):
+    """From an empty table, segments in a seeded random order grow it; whole
+    ranges end just below, at and past the cap, and segments lie on both
+    sides of it, across it, and empty."""
+    cap = MAX_NORM_BOUND
+    rng = random.Random(25)
+    cases = [(lo, hi) for lo in (1, 2) for hi in (cap - 2, cap - 1, cap, cap + 1, cap + 2)]
+    cases += [(lo, rng.randrange(1, cap)) for lo in (1, 2) for _ in range(6)]
+    for _ in range(60):
+        lo = rng.randrange(1, cap + 40_000)
+        cases.append((lo, lo + rng.choice([1, 2, 3, rng.randrange(1, 20_000)])))
+    cases += [(cap - rng.randrange(1, 9_000), cap + rng.randrange(1, 9_000)) for _ in range(6)]
+    cases += [(1, 1), (2, 2), (2, 1), (9, 9), (10, 9), (cap, cap), (cap - 1, cap - 3), (cap + 1, cap + 1),
+              (cap + 7, cap)]
+    rng.shuffle(cases)
+    for lo, hi in cases:
+        flags, primes = _want(reference, lo, hi)
+        assert prime_flags(lo, hi) == flags, (lo, hi)
+        assert primes_between(lo, hi) == primes, (lo, hi)
+    # the table stops at the cap, whatever was asked past it
+    assert 2 * len(arith._odd_flags) + 1 in (cap - 1, cap + 1)
+    assert arith._odd_flags == reference[3 : cap + 1 : 2]
+
+
+def test_prime_table_grows_by_doubling(cold_table):
+    tops = []
+    for hi in range(100, 3000, 100):
+        prime_flags(1, hi)
+        tops.append(2 * len(arith._odd_flags) + 1)
+    # each growth takes the top t to at least the largest odd number up to
+    # 2t, so the 29 asks make 6 tables
+    grown = sorted(set(tops))
+    assert all(b >= 2 * a - 1 for a, b in zip(grown, grown[1:]))
+    assert grown == [99, 199, 397, 793, 1585, 3169]
+
+
+def test_writing_into_prime_flags_leaves_the_table_unchanged(reference):
+    prime_flags(1, 10_000)
+    table = bytes(arith._odd_flags)
+    for lo, hi in ((1, 10_000), (2, 501), (4_000, 4_100)):
+        flags = prime_flags(lo, hi)
+        flags[:] = bytes(len(flags))
+    assert arith._odd_flags[: len(table)] == table
+    assert (prime_flags(1, 10_000), primes_between(1, 10_000)) == _want(reference, 1, 10_000)
+
+
+def test_prime_table_grows_correctly_under_threads(reference, monkeypatch):
+    """Eight threads on two cores grow one table from empty, each asking
+    for segments whose tops climb by a jittered factor, so that growths
+    overlap; a growth that extended a table another thread had replaced
+    would shift every later flag.  Sixty rounds, each from empty."""
+    rng = random.Random(2501)
+    wrong = []
+
+    def work(segments):
+        try:
+            for lo, hi in segments:
+                if primes_between(lo, hi) != _want(reference, lo, hi)[1]:
+                    wrong.append((lo, hi))
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            wrong.append(repr(exc))
+
+    def climb():
+        hi, segments = rng.randrange(20, 200), []
+        while hi < 1_000_000:
+            segments.append((max(1, hi - rng.randrange(1, 300)), hi))
+            hi = int(hi * rng.uniform(1.2, 2.5))
+        return segments
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            monkeypatch.setattr(arith, "_odd_flags", bytearray())
+            threads = [threading.Thread(target=work, args=(climb(),)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -378,6 +379,43 @@ def test_witness_d_and_r_past_their_maximum_exit_2(capsys, monkeypatch):
             code, out, err = run_cli(["propgroup", "witnesses", *(t for item in flags.items() for t in item)], capsys)
             assert (code, out) == (2, "")
             assert err == f"meanexp: invalid input: {flag}: expected at most {text} for witnesses, got {value}\n"
+
+
+_MERSENNE_4423 = 2**4423 - 1  # prime, 1,332 digits: is_prime takes seconds on it
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["propgroup", "ranks", "--d", "4", "--r", "4", "--p", str(_MERSENNE_4423), "--N", "4"], "--p"),
+    (["propgroup", "series", "--d", "4", "--r", "4", "--p", str(-(2**64)), "--N", "4"], "--p"),
+    (["mean-exponent", "--shape", f"p:{_MERSENNE_4423},exps:3,1"], "--shape"),
+    (["mean-exponent", "--shape", f"p:{2**64 + 13},exps:2"], "--shape"),
+], ids=["propgroup-mersenne", "propgroup-negative", "shape-mersenne", "shape-past-2-64"])
+def test_prime_flag_past_2_64_exits_2_before_any_test(argv, flag, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"meanexp: invalid input: {flag}: integers tested for primality must be below 2^64 in absolute value\n"
+
+
+def test_prime_flag_just_below_2_64_is_tested(capsys):
+    p = 2**64 - 59  # the largest prime below 2^64
+    code, out, _ = run_cli(["propgroup", "ranks", "--d", "4", "--r", "4", "--p", str(p), "--N", "4", "--json"], capsys)
+    assert code == 0 and json.loads(out)["p"] == p
+    code, out, _ = run_cli(["mean-exponent", "--shape", f"p:{p},exps:3,1", "--json"], capsys)
+    assert code == 0 and json.loads(out)["shape"]["p"] == p
+    code, _, err = run_cli(["mean-exponent", "--shape", f"p:{2**64 - 1},exps:3,1"], capsys)
+    assert (code, err) == (2, f"meanexp: error: {2**64 - 1} is not prime\n")
+
+
+def test_alpha_signature_past_float_exits_2_without_traceback(tmp_path, capsys):
+    path = tmp_path / "signature.json"
+    data = json.loads((Path(scenario.__file__).parent / "scenarios" / "example1.json").read_text(encoding="utf-8"))
+    data["alpha_signature"] = [10**400, 0]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["tv-bound", "--scenario", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("meanexp: invalid input: alpha_signature: ") and "Traceback" not in err
 
 
 def test_witness_r_at_its_maximum_runs(capsys):

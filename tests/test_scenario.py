@@ -5,6 +5,9 @@ import heapq
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanexp import cli, fields, tv
+from meanexp import arith, cli, fields, tv
 from meanexp import scenario as scenario_module
 from meanexp.arith import MAX_NORM_BOUND, PrimePower, sieve_primes
 from meanexp.errors import InfeasibleProblemError, NeedsLargerEnumerationError, SchemaError
@@ -1047,6 +1050,10 @@ def test_large_prime_power_norms_parse_without_factoring():
         ("tv", "capacity_overrides", [{"prime": 2**64 + 13, "norm": 2**64 + 13, "weight_num": 1}],
          "tv.capacity_overrides[0].prime"),
         ("tv", "splitting_overrides", {str(2**64 + 13): "split"}, f"tv.splitting_overrides.{2**64 + 13}"),
+        # r1 and r2 are integers >= 0 that convert to float
+        (None, "alpha_signature", [10**400, 0], "alpha_signature"),
+        (None, "alpha_signature", [2, 1.0], "alpha_signature"),
+        (None, "alpha_signature", [2, -1], "alpha_signature"),
     ],
 )
 def test_malformed_input_names_its_location(section, key, value, location):
@@ -1150,6 +1157,34 @@ def test_every_shipped_input_passes_the_closed_schema():
             parse_scenario(data)
         except SchemaError as exc:
             pytest.fail(f"{name}: {exc}")
+
+
+def test_report_bytes_do_not_depend_on_what_ran_before(monkeypatch, tmp_path):
+    """The per-process prime table and coefficient tables change no byte:
+    the packaged scenarios and some scenario-deep inputs, dumped from empty
+    tables forward, then backward in the same process, and each alone in a
+    fresh process, give the same text."""
+    shipped = dict(_shipped_inputs())
+    names = [*PACKAGED, "deep example1/0", "deep example2/31", "deep example4/9", "deep intro/20"]
+    monkeypatch.setattr(arith, "_odd_flags", bytearray())
+    monkeypatch.setattr(tv, "_A_OF", {})
+    monkeypatch.setattr(tv, "_B_OF", {})
+
+    def dump(name):
+        return dump_report(run_scenario_data(copy.deepcopy(shipped[name])))
+
+    forward = [dump(name) for name in names]
+    assert [dump(name) for name in reversed(names)] == forward[::-1]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys\nfrom meanexp import scenario\n" \
+             "sys.stdout.write(scenario.dump_report(scenario.run_scenario(sys.argv[1])))"
+    for name, text in zip(names, forward):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(shipped[name]), encoding="utf-8")
+        alone = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
+                               timeout=120, check=True)
+        assert alone.stdout == text, name
 
 
 def test_scenario_binds_the_writer():

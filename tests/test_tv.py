@@ -5,7 +5,8 @@ from itertools import accumulate, chain
 
 import pytest
 
-from meanexp.arith import PrimePower, left_sum, sieve_primes
+from meanexp import tv
+from meanexp.arith import MAX_NORM_BOUND, PrimePower, left_sum, primes_between, sieve_primes
 from meanexp.errors import DomainError, InfeasibleProblemError, NeedsLargerEnumerationError
 from meanexp.tv import (
     A0_REAL,
@@ -383,3 +384,29 @@ def test_run_fills_to_its_last_prime_when_the_budget_ends_there():
     sol = _fill_both(prob, [run, Candidate(13, 13, run.weight)])
     assert sol.filled == (run,)
     assert sol.ell_star_0 == Candidate(13, 13, run.weight) and sol.alpha == 0.0
+
+
+def test_record_coefficients_are_the_formula_bit_for_bit(monkeypatch):
+    """costs() and payoffs() give the float of today's expression, by
+    float.hex, read from empty per-process tables and again from the filled
+    ones; only norms up to MAX_NORM_BOUND are kept."""
+    monkeypatch.setattr(tv, "_A_OF", {})
+    monkeypatch.setattr(tv, "_B_OF", {})
+    primes = sieve_primes(3000) + primes_between(MAX_NORM_BOUND - 300, MAX_NORM_BOUND + 300)
+    # squares of the primes from 1423 on lie past the bound
+    squares = [Candidate(q, q * q, 0.5) for q in sieve_primes(2000)]
+    records = [CandidateRun(tuple(primes), 4 / G_EX1), CandidateRun(tuple(primes[::7]), 1.0), *squares]
+    records += [Candidate(q, q, w) for q in primes[::50] for w in (0.25, 1 / 3, 7.0)]
+
+    def formula(rec):
+        w = rec.weight
+        return ([(w * (math.log(q) / (math.sqrt(q) - 1.0))).hex() for q in map(float, rec.norms)],
+                [(w * math.log(q / (q - 1.0))).hex() for q in map(float, rec.norms)])
+
+    for _ in ("cold", "warm"):
+        for rec in records:
+            got = ([c.hex() for c in rec.costs()], [b.hex() for b in rec.payoffs()])
+            assert got == formula(rec), rec
+    norms = {q for rec in records for q in rec.norms}
+    kept = {q for q in norms if q <= MAX_NORM_BOUND}
+    assert set(tv._A_OF) == set(tv._B_OF) == kept and len(kept) < len(norms)
