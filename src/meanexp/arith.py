@@ -26,8 +26,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: number of a few thousand digits can take seconds.
 PRIME_TEST_BOUND = 1 << 64
 
-#: The candidate stream reads norms up to max(tv.norm_bound, MAX_NORM_BOUND);
-#: the prime table of `prime_flags` grows to at most this bound (1 MB).
+#: The one enumeration cap: the candidate stream reads norms up to it, and
+#: the prime table of `prime_flags` holds the odd numbers up to it (1 MB).
 MAX_NORM_BOUND = 2_000_000
 
 # byte i is 1 when 3 + 2i is prime, for the odd numbers up to 2 * len + 1;
@@ -78,7 +78,7 @@ def is_prime(n: int) -> bool:
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes in [2, limit], ascending."""
+    """All primes in [2, limit], ascending, limit <= MAX_NORM_BOUND."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     return primes_between(1, limit)
@@ -87,38 +87,22 @@ def sieve_primes(limit: int) -> list[int]:
 def prime_flags(lo: int, hi: int) -> bytearray:
     """One segment of a sieve over the odd numbers, one byte each: byte i is
     1 when x0 + 2i is prime, for the odd x0 + 2i in (lo, hi],
-    x0 = (lo + 1) | 1, lo >= 1.  The prime 2 is left to the caller.
+    x0 = (lo + 1) | 1, lo >= 1, hi <= MAX_NORM_BOUND.  The prime 2 is left
+    to the caller.
 
-    Up to MAX_NORM_BOUND the segment is a copy of the process's prime table,
-    which the caller may write into; past it the segment is sieved by the
-    table's odd primes up to sqrt(hi)."""
+    The segment is a copy of a slice of the process's prime table, which the
+    caller may write into."""
     x0 = (lo + 1) | 1
     n = len(range(x0, hi + 1, 2))
-    if hi > MAX_NORM_BOUND:
-        return _sieve_segment(x0, n, primes_between(2, isqrt(hi)))
     start = (x0 - 3) // 2
     return _odd_table(hi)[start : start + n]
 
 
-def _sieve_segment(x0: int, n: int, primes) -> bytearray:
-    """Flags of the n odd numbers from x0 on, crossed off by the odd primes
-    given, which run up to the square root of the last."""
-    flags = bytearray([1]) * n
-    zeros = bytes(n // 3 + 1)
-    for p in primes:
-        # p^2, or the first odd multiple of p from x0 on; odd multiples are
-        # 2p apart, so p bytes apart
-        first = -(-x0 // p) * p
-        first = max(p * p, first if first % 2 else first + p)
-        first = (first - x0) // 2
-        flags[first::p] = zeros[: (n - 1 - first) // p + 1]
-    return flags
-
-
 def _odd_table(hi: int) -> bytearray:
-    """The prime table, grown to hold every odd number up to hi, hi at most
-    MAX_NORM_BOUND: to at least twice its top, so a process sieves each
-    number once and grows the table O(log hi) times.
+    """The prime table, grown to hold every odd number up to hi: to at least
+    twice its top, but not past MAX_NORM_BOUND, so a process sieves each
+    number once and grows the table O(log hi) times.  A hi past the cap is
+    a DomainError, and the table stays as it was.
 
     A table is never written after it is made, and each growth reads and
     extends one snapshot, so threads that grow it at once each get a table
@@ -128,17 +112,29 @@ def _odd_table(hi: int) -> bytearray:
     top = 2 * len(table) + 1
     if hi <= top:
         return table
+    if hi > MAX_NORM_BOUND:
+        raise DomainError(f"primes are sieved up to MAX_NORM_BOUND = {MAX_NORM_BOUND}, got {hi}")
     new_top = min(max(hi, 2 * top), MAX_NORM_BOUND)
-    primes = primes_between(2, isqrt(new_top))  # may itself grow the table
+    primes = primes_between(2, isqrt(new_top))  # odd; may itself grow the table
     table = _odd_flags
-    top = 2 * len(table) + 1
-    table = table + _sieve_segment(top + 2, len(range(top + 2, new_top + 1, 2)), primes)
-    _odd_flags = table
+    # the odd numbers from x0 past the snapshot's top, crossed off by each p
+    # from p^2, or its first odd multiple from x0 on; odd multiples are 2p
+    # apart, so p bytes apart
+    x0 = 2 * len(table) + 3
+    n = len(range(x0, new_top + 1, 2))
+    flags = bytearray([1]) * n
+    zeros = bytes(n // 3 + 1)
+    for p in primes:
+        first = -(-x0 // p) * p
+        first = max(p * p, first if first % 2 else first + p)
+        first = (first - x0) // 2
+        flags[first::p] = zeros[: (n - 1 - first) // p + 1]
+    table = _odd_flags = table + flags
     return table
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes in (lo, hi], ascending."""
+    """All primes in (lo, hi], ascending, hi <= MAX_NORM_BOUND."""
     odd = compress(range((lo + 1) | 1, hi + 1, 2), prime_flags(lo, hi))
     return [2, *odd] if lo < 2 <= hi else list(odd)
 

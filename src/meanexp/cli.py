@@ -51,12 +51,15 @@ def _int_arg(text: str, flag: str) -> int:
 
 
 def _testable_prime(p: int, flag: str) -> None:
-    """SchemaError naming flag when p is too large to test for primality
-    (`arith.PRIME_TEST_BOUND`), before any test reads it."""
-    from .arith import PRIME_TEST_BOUND
+    """SchemaError naming flag unless p is a prime: first when p is too large
+    to test for primality (`arith.PRIME_TEST_BOUND`), before any test reads
+    it, then when the test fails."""
+    from .arith import PRIME_TEST_BOUND, is_prime
 
     if abs(p) >= PRIME_TEST_BOUND:
         raise SchemaError("integers tested for primality must be below 2^64 in absolute value", location=flag)
+    if not is_prime(p):
+        raise SchemaError(f"{p} is not prime", location=flag)
 
 
 def _parse_shape(text: str):

@@ -23,7 +23,7 @@ from itertools import chain, takewhile
 from typing import Any
 
 from .arith import MAX_NORM_BOUND, PRIME_TEST_BOUND, PrimePower, is_prime, left_sum, sieve_primes
-from .errors import DomainError, SchemaError
+from .errors import DomainError, NeedsLargerEnumerationError, SchemaError
 from .fields import biquadratic_field, quadratic_field, quadratic_subfield, splitting_type
 from .frozen import Frozen
 from . import fields, tv
@@ -33,11 +33,8 @@ from .towers import GSVerdict, critere_real_quadratic, genus_rank_bound, gs_verd
 SCHEMA_VERSION = 1
 REPORT_VERSION = 1
 
-#: The largest tv.norm_bound.  The stream sieves in segments of at most
-#: _SEGMENT numbers, so its memory does not grow with the bound; below the
-#: square root of the bound it also lists the primes, at most 3,401.
-NORM_BOUND_MAX = 10**9
-# the longest sieve segment of the candidate stream
+# the longest sieve segment of the candidate stream, and so the farthest it
+# reads past the stop norm
 _SEGMENT = 1 << 14
 
 #: The keys each object of a scenario may hold, by the object's location
@@ -292,7 +289,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     norm_bound = tvsec.get("norm_bound", 1000)
     _expect(_is_int(norm_bound) and norm_bound >= 2, "norm_bound must be >= 2", "tv.norm_bound")
-    _expect(norm_bound <= NORM_BOUND_MAX, f"norm_bound must be at most {NORM_BOUND_MAX}", "tv.norm_bound")
+    _expect(norm_bound <= MAX_NORM_BOUND, f"norm_bound must be at most {MAX_NORM_BOUND}", "tv.norm_bound")
 
     published_reference = data.get("published_reference", {})
     _expect(isinstance(published_reference, dict), "published_reference must be an object", "published_reference")
@@ -393,8 +390,8 @@ def _candidate_for_prime(
 
 def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo | SplitRun]:
     """Every open prime's candidate in strictly ascending norm, up to
-    max(norm_bound, MAX_NORM_BOUND), with each stretch of unnamed fully
-    split primes as one `SplitRun`.
+    MAX_NORM_BOUND, with each stretch of unnamed fully split primes as one
+    `SplitRun`.
 
     The primes are sieved in segments that grow by doubling from
     min(norm_bound, _SEGMENT) and are at most _SEGMENT long.  Above
@@ -415,7 +412,7 @@ def candidate_stream(sc: Scenario) -> Iterator[CandidateInfo | SplitRun]:
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
     g = sc.genus
-    limit = max(sc.norm_bound, MAX_NORM_BOUND)
+    limit = MAX_NORM_BOUND
     waiting: list[tuple[int, CandidateInfo | int]] = []
 
     def visit(ell: int, split: bool | None) -> None:
@@ -561,7 +558,10 @@ def run_scenario_obj(sc: Scenario) -> dict:
     )
 
     # --- the greedy fill, reading the candidate stream up to ell_star_0
-    solution = tv.optimize(problem, candidate_stream(sc))
+    try:
+        solution = tv.optimize(problem, candidate_stream(sc))
+    except NeedsLargerEnumerationError as exc:
+        raise NeedsLargerEnumerationError(f"tv.x0_num/tv.x1_num: {exc} at the norm cap {MAX_NORM_BOUND}") from None
 
     lstar0 = solution.ell_star_0.norm if solution.ell_star_0 is not None else None
     # the doubling tier of norm_bound that holds the stop norm

@@ -54,7 +54,7 @@ def _b(qv: float) -> float:
 
 
 def a_coeff(q) -> float:
-    """Budget coefficient log q / (sqrt(q) - 1); strictly decreasing in q >= 2."""
+    """Budget coefficient log q / (sqrt(q) - 1); its floats strictly decrease over integers 2..MAX_NORM_BOUND."""
     qv = float(int(q))
     if qv < 2:
         raise DomainError(f"norm must be >= 2, got {q}")
@@ -62,7 +62,7 @@ def a_coeff(q) -> float:
 
 
 def b_coeff(q) -> float:
-    """Payoff coefficient log(q/(q-1)); strictly decreasing in q >= 2."""
+    """Payoff coefficient log(q/(q-1)); its floats strictly decrease over integers 2..MAX_NORM_BOUND."""
     qv = float(int(q))
     if qv < 2:
         raise DomainError(f"norm must be >= 2, got {q}")

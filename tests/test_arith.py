@@ -155,11 +155,12 @@ def test_primes_between_matches_is_prime_on_every_small_range():
 def test_primes_between_matches_is_prime_on_random_ranges():
     rng = random.Random(18)
     for _ in range(60):
-        lo = rng.randrange(1, 10**7)
+        lo = rng.randrange(1, MAX_NORM_BOUND - 20_000)
         hi = lo + rng.choice([1, 2, 3, rng.randrange(1, 20_000)])
         assert primes_between(lo, hi) == [x for x in range(lo + 1, hi + 1) if is_prime(x)], (lo, hi)
-    # segments starting on a square of a sieving prime, and just past it
-    for q in (3, 97, 997, 3_001):
+    # segments starting on a square of a sieving prime, and just past it;
+    # 1409 is the largest prime up to isqrt(MAX_NORM_BOUND)
+    for q in (3, 97, 997, 1_409):
         for lo in (q * q - 1, q * q, q * q + 1):
             assert primes_between(lo, lo + 500) == [x for x in range(lo + 1, lo + 501) if is_prime(x)], lo
 
@@ -198,7 +199,7 @@ def _reference_sieve(limit):
 
 @pytest.fixture(scope="module")
 def reference():
-    return _reference_sieve(MAX_NORM_BOUND + 60_000)
+    return _reference_sieve(MAX_NORM_BOUND)
 
 
 @pytest.fixture
@@ -217,7 +218,8 @@ def _want(reference, lo, hi):
 def test_prime_table_matches_a_reference_sieve(reference, cold_table):
     """From an empty table, segments in a seeded random order grow it; whole
     ranges end just below, at and past the cap, and segments lie on both
-    sides of it, across it, and empty."""
+    sides of it, across it, and empty.  A segment that ends past the cap is
+    a DomainError and leaves the table as it was."""
     cap = MAX_NORM_BOUND
     rng = random.Random(25)
     cases = [(lo, hi) for lo in (1, 2) for hi in (cap - 2, cap - 1, cap, cap + 1, cap + 2)]
@@ -230,10 +232,17 @@ def test_prime_table_matches_a_reference_sieve(reference, cold_table):
               (cap + 7, cap)]
     rng.shuffle(cases)
     for lo, hi in cases:
+        if hi > cap:
+            table = arith._odd_flags
+            for call in (prime_flags, primes_between):
+                with pytest.raises(DomainError, match=f"^primes are sieved up to MAX_NORM_BOUND = {cap}, got {hi}$"):
+                    call(lo, hi)
+            assert arith._odd_flags is table
+            continue
         flags, primes = _want(reference, lo, hi)
         assert prime_flags(lo, hi) == flags, (lo, hi)
         assert primes_between(lo, hi) == primes, (lo, hi)
-    # the table stops at the cap, whatever was asked past it
+    # the table stops at the cap
     assert 2 * len(arith._odd_flags) + 1 in (cap - 1, cap + 1)
     assert arith._odd_flags == reference[3 : cap + 1 : 2]
 

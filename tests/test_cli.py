@@ -405,7 +405,14 @@ def test_prime_flag_just_below_2_64_is_tested(capsys):
     code, out, _ = run_cli(["mean-exponent", "--shape", f"p:{p},exps:3,1", "--json"], capsys)
     assert code == 0 and json.loads(out)["shape"]["p"] == p
     code, _, err = run_cli(["mean-exponent", "--shape", f"p:{2**64 - 1},exps:3,1"], capsys)
-    assert (code, err) == (2, f"meanexp: error: {2**64 - 1} is not prime\n")
+    assert (code, err) == (2, f"meanexp: invalid input: --shape: {2**64 - 1} is not prime\n")
+
+
+@pytest.mark.parametrize("p", [4, 1, -3])
+def test_prime_flag_that_is_not_prime_exits_2_naming_it(p, capsys):
+    for argv, flag in ((["propgroup", "ranks", "--d", "4", "--r", "4", "--p", str(p), "--N", "4"], "--p"),
+                       (["mean-exponent", "--shape", f"p:{p},exps:3,1"], "--shape")):
+        assert run_cli(argv, capsys) == (2, "", f"meanexp: invalid input: {flag}: {p} is not prime\n")
 
 
 def test_alpha_signature_past_float_exits_2_without_traceback(tmp_path, capsys):

@@ -25,7 +25,6 @@ from meanexp.arith import MAX_NORM_BOUND, PrimePower, sieve_primes
 from meanexp.errors import InfeasibleProblemError, NeedsLargerEnumerationError, SchemaError
 from meanexp.report import PrefixRows, _round_floats, dump_report
 from meanexp.scenario import (
-    NORM_BOUND_MAX,
     CandidateInfo,
     SplitRun,
     _candidate_for_prime,
@@ -665,7 +664,7 @@ def _reference_stream(sc):
     closed = set(sc.t_dec) | set(sc.t_inert)
     cap_num = sc.x0_num + 2 * sc.x1_num
     g = sc.genus
-    limit = max(sc.norm_bound, MAX_NORM_BOUND)
+    limit = MAX_NORM_BOUND
     overrides = [(q, None) for q in sorted(sc.capacity_overrides) if q <= limit]
     primes = _reference_readable_primes(sc, limit) if cap_num > 0 else overrides
     waiting = []
@@ -931,7 +930,7 @@ def test_stream_builds_small_primes_only_when_it_reaches_their_square(monkeypatc
     assert len(built) < len(sieve_primes(math.isqrt(MAX_NORM_BOUND))) // 4
 
 
-@pytest.mark.parametrize("bound", [10**30, 2**61 - 1, NORM_BOUND_MAX + 1])
+@pytest.mark.parametrize("bound", [10**30, 2**61 - 1, MAX_NORM_BOUND + 1, 10**9])
 def test_norm_bound_past_its_maximum_exits_2(bound, tmp_path, capsys):
     data = copy.deepcopy(MINIMAL)
     data["tv"]["norm_bound"] = bound
@@ -948,11 +947,11 @@ def test_norm_bound_past_its_maximum_exits_2(bound, tmp_path, capsys):
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err == f"meanexp: invalid input: tv.norm_bound: norm_bound must be at most {NORM_BOUND_MAX}\n"
+    assert err == f"meanexp: invalid input: tv.norm_bound: norm_bound must be at most {MAX_NORM_BOUND}\n"
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("bound", [3 * 10**7, NORM_BOUND_MAX])
+@pytest.mark.parametrize("bound", [MAX_NORM_BOUND])
 def test_large_norm_bound_that_stops_early_stays_small(bound):
     want = run_scenario_data(copy.deepcopy(MINIMAL))["tv"]
     data = copy.deepcopy(MINIMAL)
@@ -967,6 +966,33 @@ def test_large_norm_bound_that_stops_early_stays_small(bound):
     assert got["norm_bound_used"] == bound
     assert {k: v for k, v in got.items() if k != "norm_bound_used"} == {
         k: v for k, v in want.items() if k != "norm_bound_used"}
+
+
+def test_fill_that_reaches_the_cap_stays_small(monkeypatch, tmp_path, capsys):
+    """example1 without T or sigma_fixed, norm_bound at the cap, from empty
+    prime and coefficient tables: at x1_num 0.015 the fill stops just below
+    the cap; at 0.01 the stream runs out at the cap, and tv-bound exits 2
+    naming the densities and the cap."""
+    monkeypatch.setattr(arith, "_odd_flags", bytearray())
+    monkeypatch.setattr(tv, "_A_OF", {})
+    monkeypatch.setattr(tv, "_B_OF", {})
+    data = _deep("example1", 0.015)
+    data["tv"]["norm_bound"] = MAX_NORM_BOUND
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data | {"tv": data["tv"] | {"x1_num": 0.01}}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        got = run_scenario_data(data)["tv"]
+        code = cli.main(["tv-bound", "--scenario", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got["ell_star_0"], got["norm_bound_used"]) == (1_824_379, MAX_NORM_BOUND)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("meanexp: error: tv.x0_num/tv.x1_num: candidates exhausted with budget 0.302465 unconsumed "
+                   f"at the norm cap {MAX_NORM_BOUND}\n")
+    assert peak < 16 << 20
 
 
 def test_zero_cap_with_weighted_override_stops_fast():

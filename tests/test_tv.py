@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import gt
 
 import pytest
 
@@ -42,10 +43,11 @@ def test_constants():
 
 
 def test_coefficients_decreasing():
-    qs = [2, 3, 4, 5, 7, 9, 11, 25, 49, 1000, 10**6]
-    for q1, q2 in zip(qs, qs[1:]):
-        assert a_coeff(q1) > a_coeff(q2)
-        assert b_coeff(q1) > b_coeff(q2)
+    """Strictly, as floats, at every integer 2 <= q <= MAX_NORM_BOUND; from
+    q = 67,114,657 on, b(q) and b(q + 1) can round to the same float."""
+    for coeff in (a_coeff, b_coeff):
+        values = list(map(coeff, range(2, MAX_NORM_BOUND + 1)))
+        assert all(map(gt, values, values[1:])), coeff
 
 
 def test_universal_bounds():
@@ -392,7 +394,7 @@ def test_record_coefficients_are_the_formula_bit_for_bit(monkeypatch):
     ones; only norms up to MAX_NORM_BOUND are kept."""
     monkeypatch.setattr(tv, "_A_OF", {})
     monkeypatch.setattr(tv, "_B_OF", {})
-    primes = sieve_primes(3000) + primes_between(MAX_NORM_BOUND - 300, MAX_NORM_BOUND + 300)
+    primes = sieve_primes(3000) + primes_between(MAX_NORM_BOUND - 600, MAX_NORM_BOUND)
     # squares of the primes from 1423 on lie past the bound
     squares = [Candidate(q, q * q, 0.5) for q in sieve_primes(2000)]
     records = [CandidateRun(tuple(primes), 4 / G_EX1), CandidateRun(tuple(primes[::7]), 1.0), *squares]
