@@ -44,7 +44,7 @@ def test_constants():
 
 def test_coefficients_decreasing():
     """Strictly, as floats, at every integer 2 <= q <= MAX_NORM_BOUND; from
-    q = 67,114,657 on, b(q) and b(q + 1) can round to the same float."""
+    q = 67,114,657 on, b(q + 1) is not always below b(q)."""
     for coeff in (a_coeff, b_coeff):
         values = list(map(coeff, range(2, MAX_NORM_BOUND + 1)))
         assert all(map(gt, values, values[1:])), coeff
